@@ -15,7 +15,7 @@ import threading
 import time
 from pathlib import Path
 
-from . import fpt, pgsolver, zielonka
+from . import fpt, pgsolver
 from .errors import (
     BudgetExceeded,
     InvalidFamilyParams,
@@ -24,15 +24,13 @@ from .errors import (
     NotSmallerSide,
     ParseError,
 )
-from .fpt import FptConfig, choose_j, solve
-from .game import ParityGame, is_bipartite, stats, swap_roles, validate
+from .fpt import FptConfig, degree_threshold, solve
+from .game import is_bipartite, stats, validate
 from .generate import FAMILIES, generate
 from .kernel import (
-    ReductionTrace,
     kernelize_auto,
     kernelize_bipartite,
-    kernelize_general,
-    lift_solution,
+    kernelize_general_any_side,
     trace_lines,
 )
 from .oracle import SolveResult, Strategy, verify_partition_report
@@ -100,6 +98,10 @@ _ALGO_NAMES = {
 def cmd_solve(args) -> int:
     game, ids = _load(args.input)
     _check_valid(game)
+    if args.algo == "fpt-degree" and args.j is not None and args.j < 2:
+        print(f"invalid parameters: --j must be at least 2, got {args.j}",
+              file=sys.stderr)
+        return EXIT_VALIDATION
     cfg = FptConfig(
         kernelize=not args.no_kernel,
         sub_j=args.j,
@@ -131,21 +133,8 @@ def cmd_solve(args) -> int:
         print(f"depth: {fpt.metrics.max_depth}")
         print(f"dominion_hits: {fpt.metrics.dominion_hits}")
         if args.algo == "fpt-degree":
-            j = args.j if args.j is not None else (
-                choose_j(game)[0] if game.n >= 2 else 2
-            )
-            print(f"j: {j}")
+            print(f"j: {degree_threshold(game, cfg)}")
     return EXIT_OK
-
-
-def _general_with_swap(game):
-    n1 = sum(game.owner)
-    if n1 <= game.n - n1:
-        return kernelize_general(game)
-    kernel, trace = kernelize_general(swap_roles(game))
-    return kernel, ReductionTrace(
-        trace.events, trace.n_original, trace.kernel_ids, swapped=True
-    )
 
 
 def cmd_kernelize(args) -> int:
@@ -159,7 +148,7 @@ def cmd_kernelize(args) -> int:
             print(f"not bipartite: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
     elif args.mode == "general":
-        kernel, trace = _general_with_swap(game)
+        kernel, trace = kernelize_general_any_side(game)
     else:
         kernel, trace = kernelize_auto(game)
     k, p = st.k, st.priority_count

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import ParityKitError
 from .game import ParityGame, stats, subgame, swap_roles
 from .kernel import kernelize_auto, lift_solution
 from .oracle import SolveResult, empty_result, solve_brute
@@ -90,10 +91,7 @@ def new_win1(game: ParityGame, cfg: FptConfig | None = None) -> SolveResult:
     metrics.depth += 1
     metrics.max_depth = max(metrics.max_depth, metrics.depth)
     try:
-        if cfg.kernelize:
-            kernel, trace = kernelize_auto(game)
-            return lift_solution(trace, _new_win1_core(kernel, k, ell, cfg))
-        return _new_win1_core(game, k, ell, cfg)
+        return _on_kernel(game, cfg, lambda g: _new_win1_core(g, k, ell, cfg))
     finally:
         metrics.depth -= 1
 
@@ -109,14 +107,7 @@ def _new_win1_core(game: ParityGame, k, ell, cfg) -> SolveResult:
     )
     if dom is None:
         return old_win1(game, cfg)
-    metrics.dominion_hits += 1
-    removed = attractor(game, dom.set, dom.owner).set
-    sub, smap = subgame(game, removed)
-    assert sub.n < game.n
-    res = new_win1(sub, cfg)
-    w_opp = smap.set_to_orig(res.winners(1 - dom.owner))
-    w_own = frozenset(game.nodes()) - w_opp
-    return _partition(game, w_own if dom.owner == 0 else w_opp)
+    return _remove_dominion(game, dom, lambda sub: new_win1(sub, cfg))
 
 
 def old_win1(game: ParityGame, cfg: FptConfig | None = None) -> SolveResult:
@@ -127,14 +118,32 @@ def old_win1(game: ParityGame, cfg: FptConfig | None = None) -> SolveResult:
     n1 = sum(game.owner)
     if n1 > game.n - n1:
         return old_win1(swap_roles(game), cfg).flipped()
-    if cfg.kernelize:
-        kernel, trace = kernelize_auto(game)
-        return lift_solution(trace, _old_win1_core(kernel, cfg))
-    return _old_win1_core(game, cfg)
+    return _on_kernel(
+        game, cfg, lambda g: _two_call_recursion(g, lambda sub: new_win1(sub, cfg))
+    )
 
 
-def _old_win1_core(game: ParityGame, cfg) -> SolveResult:
-    return _two_call_recursion(game, lambda sub: new_win1(sub, cfg))
+def _on_kernel(game: ParityGame, cfg, core) -> SolveResult:
+    """`core` solved on the kernel and lifted back, or on the game itself
+    when `cfg.kernelize` is off."""
+    if not cfg.kernelize:
+        return core(game)
+    kernel, trace = kernelize_auto(game)
+    return lift_solution(trace, core(kernel))
+
+
+def _remove_dominion(game: ParityGame, dom, recurse) -> SolveResult:
+    """Give the dominion's owner its attractor, solve the rest with
+    `recurse`, and give the owner everything the opponent does not win
+    there."""
+    metrics.dominion_hits += 1
+    removed = attractor(game, dom.set, dom.owner).set
+    sub, smap = subgame(game, removed)
+    assert sub.n < game.n
+    res = recurse(sub)
+    w_opp = smap.set_to_orig(res.winners(1 - dom.owner))
+    w_own = frozenset(game.nodes()) - w_opp
+    return _partition(game, w_own if dom.owner == 0 else w_opp)
 
 
 def _two_call_recursion(game: ParityGame, recurse) -> SolveResult:
@@ -179,6 +188,14 @@ def choose_j(game: ParityGame):
     return best
 
 
+def degree_threshold(game: ParityGame, cfg: FptConfig) -> int:
+    """The j that fpt_degree solves with: `cfg.sub_j` when set, else
+    choose_j's pick, else 2 on games too small for choose_j."""
+    if cfg.sub_j is not None:
+        return cfg.sub_j
+    return choose_j(game)[0] if game.n >= 2 else 2
+
+
 def new_win2(game: ParityGame, j: int, cfg: FptConfig | None = None) -> SolveResult:
     """Exact partition via out-degree parameterization at threshold j."""
     cfg = cfg or FptConfig()
@@ -197,14 +214,7 @@ def new_win2(game: ParityGame, j: int, cfg: FptConfig | None = None) -> SolveRes
         dom = find_dominion_by_degree(game, _degree_budget(n, s_j, j))
         if dom is None:
             return old_win2(game, j, cfg)
-        metrics.dominion_hits += 1
-        removed = attractor(game, dom.set, dom.owner).set
-        sub, smap = subgame(game, removed)
-        assert sub.n < game.n
-        res = new_win2(sub, j, cfg)
-        w_opp = smap.set_to_orig(res.winners(1 - dom.owner))
-        w_own = frozenset(game.nodes()) - w_opp
-        return _partition(game, w_own if dom.owner == 0 else w_opp)
+        return _remove_dominion(game, dom, lambda sub: new_win2(sub, j, cfg))
     finally:
         metrics.depth -= 1
 
@@ -227,15 +237,13 @@ def solve(game: ParityGame, algorithm: str, cfg: FptConfig | None = None) -> Sol
     elif algorithm == "fpt_k":
         res = new_win1(game, cfg)
     elif algorithm == "fpt_degree":
-        if cfg.sub_j is not None:
-            j = cfg.sub_j
-        elif game.n >= 2:
-            j = choose_j(game)[0]
-        else:
-            j = 2
-        res = new_win2(game, j, cfg)
+        res = new_win2(game, degree_threshold(game, cfg), cfg)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    assert not (set(res.w0) & set(res.w1))
-    assert set(res.w0) | set(res.w1) == set(game.nodes())
+    w0, w1 = set(res.w0), set(res.w1)
+    if w0 & w1:
+        raise ParityKitError(f"{algorithm} put node {min(w0 & w1)} in both W0 and W1")
+    stray = (w0 | w1) ^ set(game.nodes())
+    if stray:
+        raise ParityKitError(f"{algorithm} result misses or adds node {min(stray)}")
     return res

@@ -8,7 +8,7 @@ whose backward replay recovers the winners of every removed node.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NotBipartite, NotSmallerSide, TraceMismatch
 from .game import ParityGame, is_bipartite, p1_value, p_value, swap_roles
@@ -250,14 +250,7 @@ def kernelize_general(game: ParityGame):
     # Removing that reachability set can cut other nodes' only routes to
     # the odd side, so iterate until no stuck node remains.
     while True:
-        reaches = set(work.side(1))
-        queue = deque(sorted(reaches))
-        while queue:
-            w = queue.popleft()
-            for u in work.pred[w]:
-                if u not in reaches and work.owner[u] == 0:
-                    reaches.add(u)
-                    queue.append(u)
+        reaches = work.attract(work.side(1), 0)
         stuck = [v for v in work.nodes() if v not in reaches]
         if not stuck:
             break
@@ -317,9 +310,26 @@ def kernelize_general(game: ParityGame):
             work.add_edge(v, t)
     relay_nodes = set(relays.values())
 
-    # (5) drop nodes nothing points at — they lie on no cycle and their
-    # winner follows from their successors' — then merge even nodes with
+    # (5) drop predecessor-less nodes, then merge even nodes with
     # identical out-neighborhoods.
+    _drop_predecessorless(work, events)
+    _contract_groups(
+        work,
+        events,
+        [v for v in work.nodes() if work.owner[v] == 0 and v not in relay_nodes],
+        lambda v: frozenset(work.succ[v]),
+    )
+
+    kernel, ids = work.finish()
+    return kernel, ReductionTrace(tuple(events), game.n, ids)
+
+
+# --- rules shared by both pipelines ----------------------------------------
+
+def _drop_predecessorless(work, events):
+    """In-degree rule: nodes nothing points at lie on no cycle and their
+    winner follows from their successors'. Returns whether any went."""
+    changed = False
     queue = deque(v for v in work.nodes() if not work.pred[v])
     while queue:
         v = queue.popleft()
@@ -328,28 +338,32 @@ def kernelize_general(game: ParityGame):
         succs = sorted(work.succ[v])
         events.append(NoPredecessorRemoved(v, work.owner[v], tuple(succs)))
         work.remove_nodes([v])
+        changed = True
         for w in succs:
             if w in work.owner and not work.pred[w]:
                 queue.append(w)
-    relay_nodes = {v for v in relay_nodes if v in work.owner}
+    return changed
 
+
+def _contract_groups(work, events, nodes, key):
+    """Contract each group of `nodes` with equal `key` into its smallest
+    id, which takes the group's highest priority. Returns whether any
+    group had two or more members."""
     groups = {}
-    for v in work.nodes():
-        if work.owner[v] == 0 and v not in relay_nodes:
-            groups.setdefault(frozenset(work.succ[v]), []).append(v)
+    for v in nodes:
+        groups.setdefault(key(v), []).append(v)
+    changed = False
     for members in groups.values():
         if len(members) < 2:
             continue
         kept = min(members)
         work.prio[kept] = max(work.prio[v] for v in members)
         for absorbed in sorted(members):
-            if absorbed == kept:
-                continue
-            events.append(Contracted(kept, absorbed))
-            work.contract(kept, absorbed)
-
-    kernel, ids = work.finish()
-    return kernel, ReductionTrace(tuple(events), game.n, ids)
+            if absorbed != kept:
+                events.append(Contracted(kept, absorbed))
+                work.contract(kept, absorbed)
+        changed = True
+    return changed
 
 
 # --- bipartite rules --------------------------------------------------------
@@ -380,21 +394,7 @@ def _compress_priorities(work, events):
 
 def _bipartite_pass(work, events):
     """One sweep of the in-degree, out-degree, and equality rules."""
-    changed = False
-    # in-degree rule: predecessor-less nodes are on no cycle.
-    queue = deque(v for v in work.nodes() if not work.pred[v])
-    while queue:
-        v = queue.popleft()
-        if v not in work.owner or work.pred[v]:
-            continue
-        succs = sorted(work.succ[v])
-        events.append(NoPredecessorRemoved(v, work.owner[v], tuple(succs)))
-        work.remove_nodes([v])
-        changed = True
-        for w in succs:
-            if w in work.owner and not work.pred[w]:
-                queue.append(w)
-
+    changed = _drop_predecessorless(work, events)
     for player in (0, 1):
         # out-degree rule: when v dominates u for the players choosing
         # between them, edges into u from shared choosers are dead.
@@ -420,21 +420,13 @@ def _bipartite_pass(work, events):
                     work.remove_edge(w, u)
                 changed = True
         # equality rule: same moves, same priority -> one node.
-        groups = {}
-        for v in work.side(player):
-            groups.setdefault(
-                (work.prio[v], frozenset(work.succ[v])), []
-            ).append(v)
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            kept = min(members)
-            for absorbed in sorted(members):
-                if absorbed == kept:
-                    continue
-                events.append(Contracted(kept, absorbed))
-                work.contract(kept, absorbed)
-                changed = True
+        if _contract_groups(
+            work,
+            events,
+            work.side(player),
+            lambda v: (work.prio[v], frozenset(work.succ[v])),
+        ):
+            changed = True
     return changed
 
 
@@ -453,11 +445,9 @@ def kernelize_bipartite(game: ParityGame):
     return kernel, ReductionTrace(tuple(events), game.n, ids)
 
 
-def kernelize_auto(game: ParityGame):
-    """Dispatch: bipartite rules when possible, else the general pipeline
-    on the role-swapped game if Odd is the larger side."""
-    if is_bipartite(game):
-        return kernelize_bipartite(game)
+def kernelize_general_any_side(game: ParityGame):
+    """The general pipeline, run on the role-swapped game (and its trace
+    marked `swapped`) when Odd is the larger side."""
     n1 = sum(game.owner)
     if n1 <= game.n - n1:
         return kernelize_general(game)
@@ -465,6 +455,14 @@ def kernelize_auto(game: ParityGame):
     return kernel, ReductionTrace(
         trace.events, trace.n_original, trace.kernel_ids, swapped=True
     )
+
+
+def kernelize_auto(game: ParityGame):
+    """Dispatch: bipartite rules when possible, else the general pipeline
+    on whichever orientation makes Odd the smaller side."""
+    if is_bipartite(game):
+        return kernelize_bipartite(game)
+    return kernelize_general_any_side(game)
 
 
 # --- winner lifting ---------------------------------------------------------

@@ -12,7 +12,7 @@ from math import prod
 
 from .errors import BudgetExceeded, MissingStrategies, PreconditionViolated
 from .game import ParityGame, subgame
-from .reach import is_closed
+from .reach import first_open_node
 from .util import tarjan_sccs
 
 
@@ -245,12 +245,9 @@ def verify_partition_report(game: ParityGame, result: SolveResult):
     if w0 & w1 or w0 | w1 != set(game.nodes()):
         return False, "w0/w1 is not a partition of the nodes"
     for player, region in ((0, w0), (1, w1)):
-        for v in sorted(region):
-            if game.owner[v] == player:
-                if not any(w in region for w in game.succ[v]):
-                    return False, f"closedness violated at node {v}"
-            elif not all(w in region for w in game.succ[v]):
-                return False, f"closedness violated at node {v}"
+        v = first_open_node(game, region, player)
+        if v is not None:
+            return False, f"closedness violated at node {v}"
     for player, region in ((0, w0), (1, w1)):
         if not region:
             continue

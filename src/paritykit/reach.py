@@ -13,7 +13,7 @@ class AttractorResult:
     strategy: dict  # attracting choice for player i on set minus target
 
 
-def attractor_masked(game: ParityGame, target, player: int, alive=None) -> AttractorResult:
+def attractor(game: ParityGame, target, player: int, alive=None) -> AttractorResult:
     """Least set R containing `target` from which `player` can force entry.
 
     Counter-based backward propagation over the sub-game induced by
@@ -63,18 +63,22 @@ def attractor_masked(game: ParityGame, target, player: int, alive=None) -> Attra
     )
 
 
-def attractor(game: ParityGame, target, player: int) -> AttractorResult:
-    return attractor_masked(game, target, player)
+# The masked form's former name, kept for existing importers.
+attractor_masked = attractor
+
+
+def first_open_node(game: ParityGame, node_set, player: int):
+    """Smallest node of the set `node_set` where `player` cannot stay or
+    the opponent can leave; None when the set is closed for `player`."""
+    for v in sorted(node_set):
+        if game.owner[v] == player:
+            if not any(w in node_set for w in game.succ[v]):
+                return v
+        elif not all(w in node_set for w in game.succ[v]):
+            return v
+    return None
 
 
 def is_closed(game: ParityGame, nodes, player: int) -> bool:
     """True iff `player` can stay in `nodes` and the opponent cannot leave."""
-    node_set = set(nodes)
-    for v in node_set:
-        if game.owner[v] == player:
-            if not any(w in node_set for w in game.succ[v]):
-                return False
-        else:
-            if not all(w in node_set for w in game.succ[v]):
-                return False
-    return True
+    return first_open_node(game, set(nodes), player) is None

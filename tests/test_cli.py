@@ -3,7 +3,15 @@ import csv
 
 import pytest
 
-from paritykit import ParityGame, generate, pgsolver
+from paritykit import (
+    ParityGame,
+    choose_j,
+    generate,
+    is_bipartite,
+    kernelize_auto,
+    pgsolver,
+    trace_lines,
+)
 from paritykit.cli import main
 
 
@@ -228,3 +236,44 @@ def test_bench_csv_and_agreement(capsys, tmp_path):
     for row in rows:
         by_instance.setdefault(row["instance"], set()).add(row["hash"])
     assert all(len(hashes) == 1 for hashes in by_instance.values())
+
+
+def test_kernelize_general_mode_swaps_roles_when_odd_is_larger(capsys, tmp_path):
+    g = generate("general", 10, 4, 8)
+    assert 2 * sum(g.owner) > g.n and not is_bipartite(g)
+    path = write_game(tmp_path, g)
+    out_path = tmp_path / "kernel.gm"
+    trace_path = tmp_path / "trace.txt"
+    code, _, err = run(
+        capsys, "kernelize", path, "--mode", "general",
+        "--out", str(out_path), "--trace-out", str(trace_path),
+    )
+    assert code == 0, err
+    lines = trace_path.read_text().splitlines()
+    assert lines[0] == "SWAP"
+    kernel, trace = kernelize_auto(g)
+    assert lines == trace_lines(trace)
+    assert pgsolver.read_file(out_path)[0] == kernel
+
+
+def test_solve_reports_the_degree_threshold_it_used(capsys, tmp_path):
+    g = generate("bounded_outdegree", 12, 4, 0, j=4)
+    path = write_game(tmp_path, g)
+    for extra, expected in (([], choose_j(g)[0]), (["--j", "3"], 3)):
+        code, out, err = run(
+            capsys, "solve", path, "--algo", "fpt-degree", "--report-metrics",
+            *extra,
+        )
+        assert code == 0, err
+        assert f"j: {expected}\n" in out
+    assert choose_j(g)[0] != 3
+
+
+def test_solve_rejects_degree_threshold_below_two(capsys, simple_game):
+    for j in ("1", "0"):
+        code, out, err = run(
+            capsys, "solve", simple_game, "--algo", "fpt-degree", "--j", j
+        )
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "--j" in err

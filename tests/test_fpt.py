@@ -7,6 +7,8 @@ from paritykit import (
     BudgetExceeded,
     FptConfig,
     ParityGame,
+    ParityKitError,
+    SolveResult,
     choose_j,
     generate,
     new_win1,
@@ -141,3 +143,20 @@ def test_empty_and_single_node_games():
     one = ParityGame([1], [1], [[0]])
     assert new_win1(one).w1 == frozenset({0})
     assert new_win2(one, 2).w1 == frozenset({0})
+
+
+@pytest.mark.parametrize(
+    "w0, w1, message",
+    [
+        ({0, 1}, {1}, "node 1 in both W0 and W1"),
+        ({0}, set(), "misses or adds node 1"),
+        ({0}, {1, 2}, "misses or adds node 2"),
+    ],
+    ids=("overlap", "missing", "extra"),
+)
+def test_solve_rejects_a_result_that_is_not_a_partition(monkeypatch, w0, w1, message):
+    g = ParityGame([0, 1], [2, 1], [[1], [0]])
+    bad = SolveResult(frozenset(w0), frozenset(w1))
+    monkeypatch.setattr(fpt, "new_win1", lambda game, cfg: bad)
+    with pytest.raises(ParityKitError, match=message):
+        solve(g, "fpt_k")
