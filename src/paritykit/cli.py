@@ -21,7 +21,6 @@ from .errors import (
     InvalidFamilyParams,
     MissingStrategies,
     NotBipartite,
-    NotSmallerSide,
     ParseError,
 )
 from .fpt import FptConfig, degree_threshold, solve
@@ -56,6 +55,7 @@ def _run_big_stack(fn):
         except BaseException as exc:  # re-raised in the caller
             result["error"] = exc
 
+    old_limit = sys.getrecursionlimit()
     old = threading.stack_size(_STACK_BYTES)
     try:
         t = threading.Thread(target=target)
@@ -63,6 +63,7 @@ def _run_big_stack(fn):
         t.join()
     finally:
         threading.stack_size(old)
+        sys.setrecursionlimit(old_limit)
     if "error" in result:
         raise result["error"]
     return result["value"]
@@ -98,8 +99,9 @@ _ALGO_NAMES = {
 def cmd_solve(args) -> int:
     game, ids = _load(args.input)
     _check_valid(game)
-    if args.algo == "fpt-degree" and args.j is not None and args.j < 2:
-        print(f"invalid parameters: --j must be at least 2, got {args.j}",
+    if args.j is not None and (args.algo != "fpt-degree" or args.j < 2):
+        print("invalid parameters: --j must be at least 2 and needs --algo "
+              f"fpt-degree, got --j {args.j} with --algo {args.algo}",
               file=sys.stderr)
         return EXIT_VALIDATION
     cfg = FptConfig(
@@ -403,9 +405,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_VALIDATION
-    except NotSmallerSide as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .errors import ParityKitError
 from .game import ParityGame, subgame
 from .oracle import Strategy, verify_strategy
 from .reach import attractor
@@ -37,7 +38,8 @@ def _witness_on(game: ParityGame, region, player: int) -> Strategy:
     """Winning strategy for `player` on a region it fully wins."""
     sub, smap = subgame(game, set(game.nodes()) - set(region))
     res = _zielonka_win(sub)
-    assert res.winners(player) == frozenset(sub.nodes())
+    if res.winners(player) != frozenset(sub.nodes()):
+        raise ParityKitError(f"player {player} has no witness on its dominion")
     return Strategy(player, smap.map_to_orig(res.strategy(player).choice))
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .errors import NotBipartite, NotSmallerSide, TraceMismatch
 from .game import ParityGame, is_bipartite, p1_value, p_value, swap_roles
 from .oracle import SolveResult
+from .reach import attractor
 from .util import tarjan_sccs
 
 
@@ -150,27 +151,6 @@ class _Work:
                 self.add_edge(u, kept)
         self.remove_nodes([absorbed])
 
-    def attract(self, target, player):
-        reached = set(target)
-        queue = deque(sorted(reached))
-        missing = {}
-        while queue:
-            w = queue.popleft()
-            for u in self.pred[w]:
-                if u in reached:
-                    continue
-                if self.owner[u] == player:
-                    reached.add(u)
-                    queue.append(u)
-                else:
-                    if u not in missing:
-                        missing[u] = len(self.succ[u])
-                    missing[u] -= 1
-                    if missing[u] == 0:
-                        reached.add(u)
-                        queue.append(u)
-        return reached
-
     def finish(self):
         ids = self.nodes()
         dense = {v: i for i, v in enumerate(ids)}
@@ -240,7 +220,7 @@ def kernelize_general(game: ParityGame):
             if any(work.prio[v] == d for v in scc):
                 on_even_cycle.update(scc)
     if on_even_cycle:
-        dead = work.attract(on_even_cycle, 0)
+        dead = attractor(work, on_even_cycle, 0).set
         events.append(DominionRemoved(tuple(sorted(dead)), 0))
         work.remove_nodes(dead)
         relays = {k: v for k, v in relays.items() if v not in dead}
@@ -250,11 +230,11 @@ def kernelize_general(game: ParityGame):
     # Removing that reachability set can cut other nodes' only routes to
     # the odd side, so iterate until no stuck node remains.
     while True:
-        reaches = work.attract(work.side(1), 0)
+        reaches = attractor(work, work.side(1), 0).set
         stuck = [v for v in work.nodes() if v not in reaches]
         if not stuck:
             break
-        dead = work.attract(stuck, 1)
+        dead = attractor(work, stuck, 1).set
         events.append(DominionRemoved(tuple(sorted(dead)), 1))
         work.remove_nodes(dead)
         relays = {k: v for k, v in relays.items() if v not in dead}

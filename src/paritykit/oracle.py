@@ -10,9 +10,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from math import prod
 
-from .errors import BudgetExceeded, MissingStrategies, PreconditionViolated
+from .errors import BudgetExceeded, MissingStrategies, ParityKitError, PreconditionViolated
 from .game import ParityGame, subgame
-from .reach import first_open_node
+from .reach import attractor, first_open_node
 from .util import tarjan_sccs
 
 
@@ -62,7 +62,7 @@ def solve_solitary(game: ParityGame, mover: int) -> SolveResult:
                 f"opponent node {v} has out-degree {len(game.succ[v])} != 1"
             )
     n = game.n
-    assigned = [False] * n
+    winning = set()
     strategy = {}
     good_priorities = sorted(
         {p for p in game.priority if p % 2 == mover % 2}, reverse=True
@@ -70,7 +70,7 @@ def solve_solitary(game: ParityGame, mover: int) -> SolveResult:
     for d in good_priorities:
         nodes_le = [v for v in range(n) if game.priority[v] <= d]
         for scc in tarjan_sccs(nodes_le, lambda v: game.succ[v]):
-            if assigned[scc[0]]:
+            if scc[0] in winning:
                 continue  # nested inside a structure found at a higher d
             if not any(game.priority[v] == d for v in scc):
                 continue
@@ -87,25 +87,19 @@ def solve_solitary(game: ParityGame, mover: int) -> SolveResult:
                     if u in scc_set and u not in dist:
                         dist[u] = dist[w] + 1
                         queue.append(u)
+            winning.update(scc)
             for v in scc:
-                assigned[v] = True
                 if game.owner[v] == mover:
                     strategy[v] = min(
                         (w for w in game.succ[v] if w in scc_set),
                         key=lambda w: (dist[w], w),
                     )
-    win = assigned[:]
-    queue = deque(v for v in range(n) if win[v])
-    while queue:
-        w = queue.popleft()
-        for u in game.pred[w]:
-            if not win[u]:
-                win[u] = True
-                if game.owner[u] == mover:
-                    strategy[u] = w
-                queue.append(u)
-    w_mover = frozenset(v for v in range(n) if win[v])
-    w_opp = frozenset(v for v in range(n) if not win[v])
+    # Opponent nodes have one move each, so reaching a winning structure
+    # is being attracted to it.
+    att = attractor(game, winning, mover)
+    strategy.update(att.strategy)
+    w_mover = att.set
+    w_opp = frozenset(v for v in range(n) if v not in w_mover)
     opp_strategy = Strategy(
         opp, {v: game.succ[v][0] for v in w_opp if game.owner[v] == opp}
     )
@@ -173,7 +167,8 @@ def solve_brute(game: ParityGame, budget: int = 10**6, enum_player=None) -> Solv
         if len(won) > best_size:
             best_size = len(won)
             uniform = choice
-    assert best_size == len(won_total)  # uniform positional determinacy
+    if best_size != len(won_total):
+        raise ParityKitError("positional determinacy violated: no uniform winning strategy")
 
     w_enum = frozenset(won_total)
     w_opp = frozenset(all_nodes) - w_enum
@@ -189,7 +184,8 @@ def solve_brute(game: ParityGame, budget: int = 10**6, enum_player=None) -> Solv
 
         sub, smap = subgame(game, all_nodes - w_opp)
         res = _zielonka_win(sub)
-        assert res.winners(opp) == frozenset(sub.nodes())
+        if res.winners(opp) != frozenset(sub.nodes()):
+            raise ParityKitError(f"player {opp} has no witness on its own region")
         opp_strategy = Strategy(opp, smap.map_to_orig(res.strategy(opp).choice))
     if enum_player == 0:
         return SolveResult(w_enum, w_opp, enum_strategy, opp_strategy)

@@ -13,58 +13,40 @@ class AttractorResult:
     strategy: dict  # attracting choice for player i on set minus target
 
 
-def attractor(game: ParityGame, target, player: int, alive=None) -> AttractorResult:
+def attractor(game, target, player: int) -> AttractorResult:
     """Least set R containing `target` from which `player` can force entry.
 
-    Counter-based backward propagation over the sub-game induced by
-    `alive` (all nodes when None); linear in the number of edges. The
-    FIFO worklist is seeded in ascending id order, so ties among
+    `game` is a ParityGame or the kernel's working graph: only its
+    `owner`, `succ` and `pred`, indexed by node id, are read. Counter-based
+    backward propagation, linear in the edges into R, not in the game's
+    size. The FIFO worklist is seeded in ascending id order, so ties among
     simultaneously attractable nodes resolve deterministically and the
     recorded strategy is rank-decreasing by construction.
     """
-    if alive is None:
-        in_alive = [True] * game.n
-    else:
-        in_alive = [False] * game.n
-        for v in alive:
-            in_alive[v] = True
     owner = game.owner
     succ = game.succ
-    reached = [False] * game.n
+    reached = set(target)
     strategy = {}
-    queue = deque()
-    for v in sorted(target):
-        if in_alive[v] and not reached[v]:
-            reached[v] = True
-            queue.append(v)
-    # Opponent nodes fall in once every live successor is attracted.
-    missing = [0] * game.n
-    opp = 1 - player
-    for v in game.nodes():
-        if in_alive[v] and owner[v] == opp:
-            missing[v] = sum(1 for w in succ[v] if in_alive[w])
+    queue = deque(sorted(reached))
+    # Opponent nodes fall in once every successor is attracted. A count
+    # is set on first touch and never stored as 0 for an unreached node.
+    missing = {}
     while queue:
         w = queue.popleft()
         for u in game.pred[w]:
-            if not in_alive[u] or reached[u]:
+            if u in reached:
                 continue
             if owner[u] == player:
-                reached[u] = True
+                reached.add(u)
                 strategy[u] = w
                 queue.append(u)
             else:
-                missing[u] -= 1
-                if missing[u] == 0:
-                    reached[u] = True
+                left = (missing.get(u) or len(succ[u])) - 1
+                missing[u] = left
+                if left == 0:
+                    reached.add(u)
                     queue.append(u)
-    return AttractorResult(
-        set=frozenset(v for v in game.nodes() if reached[v]),
-        strategy=strategy,
-    )
-
-
-# The masked form's former name, kept for existing importers.
-attractor_masked = attractor
+    return AttractorResult(set=frozenset(reached), strategy=strategy)
 
 
 def first_open_node(game: ParityGame, node_set, player: int):

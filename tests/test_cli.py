@@ -1,5 +1,6 @@
 """Command-line interface: output formats and exit codes."""
 import csv
+import sys
 
 import pytest
 
@@ -277,3 +278,26 @@ def test_solve_rejects_degree_threshold_below_two(capsys, simple_game):
         assert code == 3
         assert out == ""
         assert len(err.splitlines()) == 1 and "--j" in err
+
+
+def test_solve_rejects_degree_threshold_for_other_algorithms(capsys, simple_game):
+    for algo in ("zielonka", "brute", "fpt-k"):
+        code, out, err = run(
+            capsys, "solve", simple_game, "--algo", algo, "--j", "3"
+        )
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "--j" in err
+
+
+def test_solve_leaves_the_recursion_limit_as_it_was(capsys, simple_game):
+    # A distinct value, so a limit leaked by an earlier solve cannot match.
+    original = sys.getrecursionlimit()
+    sys.setrecursionlimit(3001)
+    try:
+        code, _, _ = run(capsys, "solve", simple_game)
+        after = sys.getrecursionlimit()
+    finally:
+        sys.setrecursionlimit(original)
+    assert code == 0
+    assert after == 3001

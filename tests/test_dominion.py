@@ -6,6 +6,9 @@ import pytest
 from paritykit import (
     DegreeBudget,
     ParityGame,
+    ParityKitError,
+    SolveResult,
+    Strategy,
     is_closed,
     find_dominion_by_degree,
     find_dominion_by_odd_nodes,
@@ -14,6 +17,8 @@ from paritykit import (
     verify_strategy,
     win,
 )
+
+from paritykit import dominion
 
 from conftest import exhaustive_games, scale, seeded_games
 
@@ -119,3 +124,15 @@ def test_found_degree_dominion_is_deterministic():
     first = find_dominion_by_degree(g, b)
     second = find_dominion_by_degree(g, b)
     assert first == second
+
+
+def test_dominion_witness_for_the_wrong_player_is_reported(monkeypatch):
+    # Even's self-loop at priority 2 is a one-node dominion.
+    g = ParityGame([0, 1], [2, 1], [[0], [1]])
+
+    def wrong_winner(sub):
+        return SolveResult(frozenset(), frozenset(sub.nodes()), Strategy(0), Strategy(1))
+
+    monkeypatch.setattr(dominion, "_zielonka_win", wrong_winner)
+    with pytest.raises(ParityKitError, match="witness"):
+        find_dominion_by_odd_nodes(g, 1, win)

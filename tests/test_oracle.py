@@ -7,6 +7,7 @@ from paritykit import (
     BudgetExceeded,
     MissingStrategies,
     ParityGame,
+    ParityKitError,
     PreconditionViolated,
     Strategy,
     SolveResult,
@@ -16,6 +17,8 @@ from paritykit import (
     verify_partition_report,
     verify_strategy,
 )
+
+from paritykit import oracle, zielonka
 
 from conftest import seeded_games
 
@@ -169,3 +172,28 @@ def test_verify_partition_catches_mutations():
             res.strategy1,
         )
         assert not verify_partition(g, bad)
+
+
+def test_brute_reports_a_determinacy_failure(monkeypatch):
+    g = ParityGame([0, 1, 1], [0, 1, 1], [[1, 2], [0], [0]])
+
+    def disjoint_wins(fixed, mover):
+        # Even's move 0->1 wins only node 0 and 0->2 only node 1, so no
+        # single strategy wins everything Even wins.
+        won = frozenset({0} if fixed.succ[0] == (1,) else {1})
+        return SolveResult(won, frozenset(fixed.nodes()) - won)
+
+    monkeypatch.setattr(oracle, "solve_solitary", disjoint_wins)
+    with pytest.raises(ParityKitError, match="determinacy"):
+        solve_brute(g, enum_player=0)
+
+
+def test_brute_reports_a_loser_region_without_a_witness(monkeypatch):
+    g = ParityGame([0, 1], [1, 1], [[0], [1]])  # Odd wins everywhere
+
+    def wrong_winner(sub):
+        return SolveResult(frozenset(sub.nodes()), frozenset(), Strategy(0), Strategy(1))
+
+    monkeypatch.setattr(zielonka, "win", wrong_winner)
+    with pytest.raises(ParityKitError, match="witness"):
+        solve_brute(g, enum_player=0)

@@ -3,7 +3,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from paritykit import ParityGame, attractor, attractor_masked, is_closed
+from paritykit import ParityGame, attractor, is_closed
+
+from paritykit.kernel import _Work
 
 from conftest import naive_attractor, random_game, seeded_games
 
@@ -48,13 +50,6 @@ def test_attractor_strategy_enters_target():
             assert not staying
 
 
-def test_masked_attractor_ignores_dead_nodes():
-    g = ParityGame([0, 0, 0], [0, 0, 0], [[1], [2], [2]])
-    res = attractor_masked(g, {2}, 0, alive={0, 2})
-    # 1 is dead, so 0 cannot be attracted through it.
-    assert res.set == frozenset({2})
-
-
 def test_is_closed():
     g = ParityGame([0, 1], [0, 0], [[0, 1], [0, 1]])
     assert is_closed(g, {0, 1}, 0)
@@ -96,3 +91,68 @@ def test_attractor_laws(seed):
         rest = set(nodes) - ra
         if rest:
             assert is_closed(g, rest, 1 - player)
+
+
+def test_attractor_runs_on_the_kernel_working_graph():
+    rng = random.Random(3)
+    for g in seeded_games(80, n_range=(3, 9), seed=11):
+        work = _Work(g)
+        # Removing an attractor leaves a trap, so no node loses all moves.
+        cut = attractor(g, {rng.randrange(g.n)}, rng.randrange(2)).set
+        if len(cut) == g.n:
+            continue
+        work.remove_nodes(cut)
+        for owner in (0, 1):
+            side = work.side(owner)
+            if len(side) >= 2:
+                work.contract(side[0], side[-1])
+        game, ids = work.finish()
+        dense = {v: i for i, v in enumerate(ids)}
+        target = {v for v in ids if rng.random() < 0.3}
+        for player in (0, 1):
+            res = attractor(work, target, player)
+            expected = naive_attractor(game, {dense[v] for v in target}, player)
+            assert res.set == {ids[i] for i in expected}
+            for u, w in res.strategy.items():
+                assert work.owner[u] == player and w in work.succ[u]
+
+
+class _Rows:
+    """Indexable rows that record every node id they are asked for."""
+
+    def __init__(self, rows, seen):
+        self.rows = rows
+        self.seen = seen
+
+    def __getitem__(self, v):
+        self.seen.add(v)
+        return self.rows[v]
+
+
+class _RecordingGame:
+    """A game whose owner, succ and pred rows record each id read. It
+    also offers `n` and `nodes()`, so a whole-game scan would show."""
+
+    def __init__(self, game):
+        self.seen = set()
+        self.owner = _Rows(game.owner, self.seen)
+        self.succ = _Rows(game.succ, self.seen)
+        self.pred = _Rows(game.pred, self.seen)
+        self.n = game.n
+        self.nodes = game.nodes
+
+
+def test_attractor_cost_follows_the_attracted_region():
+    rng = random.Random(0)
+    n = 10_000
+    # Nodes 0, 1, 2 form a component of their own; the rest is one big
+    # strongly connected blob that the attractor must never look at.
+    edges = [[1], [0, 2], [0]]
+    edges += [
+        [3 + (v - 2) % (n - 3), rng.randrange(3, n)] for v in range(3, n)
+    ]
+    g = ParityGame([v % 2 for v in range(n)], [0] * n, edges)
+    for player in (0, 1):
+        recording = _RecordingGame(g)
+        assert attractor(recording, {0}, player).set == {0, 1, 2}
+        assert recording.seen <= {0, 1, 2}
