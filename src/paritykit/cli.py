@@ -104,6 +104,9 @@ def cmd_solve(args) -> int:
               f"fpt-degree, got --j {args.j} with --algo {args.algo}",
               file=sys.stderr)
         return EXIT_VALIDATION
+    if args.emit_strategy and args.algo not in ("zielonka", "brute"):
+        print("strategies are only available for zielonka and brute", file=sys.stderr)
+        return EXIT_VALIDATION
     cfg = FptConfig(
         kernelize=not args.no_kernel,
         sub_j=args.j,
@@ -120,10 +123,6 @@ def cmd_solve(args) -> int:
     print("W0: " + " ".join(str(ids[v]) for v in sorted(res.w0)))
     print("W1: " + " ".join(str(ids[v]) for v in sorted(res.w1)))
     if args.emit_strategy:
-        if args.algo not in ("zielonka", "brute"):
-            print("strategies are only available for zielonka and brute",
-                  file=sys.stderr)
-            return EXIT_VALIDATION
         for player in (0, 1):
             strat = res.strategy(player)
             pairs = " ".join(

@@ -1,10 +1,10 @@
 """Dominion-accelerated recursive solvers.
 
-new_win1/old_win1 parameterize by the number of odd nodes and kernelize
-aggressively; new_win2/old_win2 parameterize by an out-degree threshold
-j. Both alternate cheap dominion searches with the classic two-call
-recursion and fall back to brute force on small bases. Results along
-these paths are partition-only (no witness strategies).
+new_win1 parameterizes by the number of odd nodes and kernelizes at
+every level; new_win2 by an out-degree threshold j. Each level of both
+brute-forces a small base, else removes a dominion a cheap search found,
+else falls back to old_win1/old_win2, the classic two-call recursion
+with new_win underneath. Results along these paths are partition-only.
 """
 from __future__ import annotations
 
@@ -83,53 +83,52 @@ def new_win1(game: ParityGame, cfg: FptConfig | None = None) -> SolveResult:
     cfg = cfg or FptConfig()
     if game.n == 0:
         return empty_result()
-    n1 = sum(game.owner)
-    if n1 > game.n - n1:
+    k = sum(game.owner)
+    if k > game.n - k:
         return new_win1(swap_roles(game), cfg).flipped()
-    k = n1
     ell = _ell_from_k(k)
-    metrics.depth += 1
-    metrics.max_depth = max(metrics.max_depth, metrics.depth)
-    try:
-        return _on_kernel(game, cfg, lambda g: _new_win1_core(g, k, ell, cfg))
-    finally:
-        metrics.depth -= 1
-
-
-def _new_win1_core(game: ParityGame, k, ell, cfg) -> SolveResult:
-    if game.n == 0:
-        return empty_result()
-    if k <= cfg.base_case_k:
-        res = solve_brute(game, cfg.brute_budget)
-        return _partition(game, res.w0)
-    dom = find_dominion_by_odd_nodes(
-        game, ell, lambda sub: new_win1(sub, cfg)
+    kernel, trace = kernelize_auto(game) if cfg.kernelize else (game, None)
+    res = _dominion_step(
+        kernel, cfg, k <= cfg.base_case_k,
+        lambda: find_dominion_by_odd_nodes(kernel, ell, lambda sub: new_win1(sub, cfg)),
+        lambda sub: new_win1(sub, cfg),
+        lambda: old_win1(kernel, cfg),
     )
-    if dom is None:
-        return old_win1(game, cfg)
-    return _remove_dominion(game, dom, lambda sub: new_win1(sub, cfg))
+    return res if trace is None else lift_solution(trace, res)
 
 
 def old_win1(game: ParityGame, cfg: FptConfig | None = None) -> SolveResult:
     """The two-call recursion with new_win1 underneath."""
     cfg = cfg or FptConfig()
-    if game.n == 0:
-        return empty_result()
-    n1 = sum(game.owner)
-    if n1 > game.n - n1:
-        return old_win1(swap_roles(game), cfg).flipped()
-    return _on_kernel(
-        game, cfg, lambda g: _two_call_recursion(g, lambda sub: new_win1(sub, cfg))
-    )
+    return _two_call_recursion(game, lambda sub: new_win1(sub, cfg))
 
 
-def _on_kernel(game: ParityGame, cfg, core) -> SolveResult:
-    """`core` solved on the kernel and lifted back, or on the game itself
-    when `cfg.kernelize` is off."""
-    if not cfg.kernelize:
-        return core(game)
-    kernel, trace = kernelize_auto(game)
-    return lift_solution(trace, core(kernel))
+def _dominion_step(game: ParityGame, cfg, small, search, recurse, fallback) -> SolveResult:
+    """One level of new_win1/new_win2: brute force when `small`, else
+    remove the dominion `search()` finds and solve the rest with
+    `recurse`, else `fallback()`."""
+    metrics.depth += 1
+    metrics.max_depth = max(metrics.max_depth, metrics.depth)
+    try:
+        if game.n == 0:
+            return empty_result()
+        if small:
+            return _partition(game, solve_brute(game, cfg.brute_budget).w0)
+        dom = search()
+        if dom is None:
+            return fallback()
+        return _remove_dominion(game, dom, recurse)
+    finally:
+        metrics.depth -= 1
+
+
+def _shrunk_subgame(game: ParityGame, removed):
+    """subgame(game, removed), refusing a sub-game that is not smaller:
+    the recursions terminate only because each call shrinks the game."""
+    sub, smap = subgame(game, removed)
+    if sub.n >= game.n:
+        raise ParityKitError(f"sub-game did not shrink below {game.n} nodes")
+    return sub, smap
 
 
 def _remove_dominion(game: ParityGame, dom, recurse) -> SolveResult:
@@ -138,8 +137,7 @@ def _remove_dominion(game: ParityGame, dom, recurse) -> SolveResult:
     there."""
     metrics.dominion_hits += 1
     removed = attractor(game, dom.set, dom.owner).set
-    sub, smap = subgame(game, removed)
-    assert sub.n < game.n
+    sub, smap = _shrunk_subgame(game, removed)
     res = recurse(sub)
     w_opp = smap.set_to_orig(res.winners(1 - dom.owner))
     w_own = frozenset(game.nodes()) - w_opp
@@ -153,15 +151,13 @@ def _two_call_recursion(game: ParityGame, recurse) -> SolveResult:
     i = p_max % 2
     top = [v for v in game.nodes() if game.priority[v] == p_max]
     removed = attractor(game, top, i).set
-    sub1, map1 = subgame(game, removed)
-    assert sub1.n < game.n
+    sub1, map1 = _shrunk_subgame(game, removed)
     res1 = recurse(sub1)
     w_opp = map1.set_to_orig(res1.winners(1 - i))
     if not w_opp:
         return _partition(game, frozenset(game.nodes()) if i == 0 else frozenset())
     removed2 = attractor(game, w_opp, 1 - i).set
-    sub2, map2 = subgame(game, removed2)
-    assert sub2.n < game.n
+    sub2, map2 = _shrunk_subgame(game, removed2)
     res2 = recurse(sub2)
     w_i = map2.set_to_orig(res2.winners(i))
     return _partition(game, w_i if i == 0 else frozenset(game.nodes()) - w_i)
@@ -205,26 +201,17 @@ def new_win2(game: ParityGame, j: int, cfg: FptConfig | None = None) -> SolveRes
         return empty_result()
     s_j = stats(game).s_of(j)
     n = game.n
-    metrics.depth += 1
-    metrics.max_depth = max(metrics.max_depth, metrics.depth)
-    try:
-        if s_j <= cfg.base_case_degree and n - s_j <= cfg.base_case_degree:
-            res = solve_brute(game, cfg.brute_budget)
-            return _partition(game, res.w0)
-        dom = find_dominion_by_degree(game, _degree_budget(n, s_j, j))
-        if dom is None:
-            return old_win2(game, j, cfg)
-        return _remove_dominion(game, dom, lambda sub: new_win2(sub, j, cfg))
-    finally:
-        metrics.depth -= 1
+    return _dominion_step(
+        game, cfg, s_j <= cfg.base_case_degree and n - s_j <= cfg.base_case_degree,
+        lambda: find_dominion_by_degree(game, _degree_budget(n, s_j, j)),
+        lambda sub: new_win2(sub, j, cfg),
+        lambda: old_win2(game, j, cfg),
+    )
 
 
 def old_win2(game: ParityGame, j: int, cfg: FptConfig | None = None) -> SolveResult:
     cfg = cfg or FptConfig()
     return _two_call_recursion(game, lambda sub: new_win2(sub, j, cfg))
-
-
-ALGORITHMS = ("zielonka", "brute", "fpt_k", "fpt_degree")
 
 
 def solve(game: ParityGame, algorithm: str, cfg: FptConfig | None = None) -> SolveResult:

@@ -17,10 +17,6 @@ class Player(IntEnum):
     EVEN = 0
     ODD = 1
 
-    @property
-    def opponent(self) -> "Player":
-        return Player(1 - self.value)
-
 
 def p1_value(priority: int) -> int:
     """Odd player's preference value: priority if odd, -priority if even."""
@@ -164,9 +160,8 @@ def stats(game: ParityGame) -> GameStats:
 
 @dataclass(frozen=True)
 class SubgameMap:
-    """Two-way id mapping between a game and one of its induced sub-games."""
+    """Id mapping from an induced sub-game back to the game it came from."""
 
-    to_sub: dict
     to_orig: tuple
 
     def set_to_orig(self, ids):
@@ -198,7 +193,7 @@ def subgame(game: ParityGame, remove) -> tuple:
         [game.priority[v] for v in keep],
         edges,
     )
-    return sub, SubgameMap(to_sub=to_sub, to_orig=tuple(keep))
+    return sub, SubgameMap(to_orig=tuple(keep))
 
 
 def swap_roles(game: ParityGame) -> ParityGame:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import product
 from math import prod
 
 from .errors import BudgetExceeded, MissingStrategies, ParityKitError, PreconditionViolated
@@ -116,17 +117,8 @@ def _strategy_space(game: ParityGame, player: int):
 
 def _enumerate_strategies(game: ParityGame, nodes):
     """All positional strategies of `nodes`, as dicts, in lexicographic order."""
-
-    def rec(i, current):
-        if i == len(nodes):
-            yield dict(current)
-            return
-        v = nodes[i]
-        for w in game.succ[v]:
-            current[v] = w
-            yield from rec(i + 1, current)
-
-    yield from rec(0, {})
+    for moves in product(*(game.succ[v] for v in nodes)):
+        yield dict(zip(nodes, moves))
 
 
 def _fix_strategy(game: ParityGame, choice: dict) -> ParityGame:

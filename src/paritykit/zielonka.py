@@ -25,53 +25,32 @@ def win(game: ParityGame) -> SolveResult:
     opp = 1 - i
     top = [v for v in game.nodes() if game.priority[v] == p_max]
     att = attractor(game, top, i)
+    sub1, map1 = subgame(game, att.set)
+    res1 = win(sub1)
+    w1_opp = map1.set_to_orig(res1.winners(opp))
 
-    strat_i: dict = {}
-    strat_opp: dict = {}
-    if len(att.set) == game.n:
-        sub1 = None
-    else:
-        sub1, map1 = subgame(game, att.set)
-    if sub1 is not None:
-        res1 = win(sub1)
-        w1_opp = map1.set_to_orig(res1.winners(opp))
-    else:
-        res1 = empty_result()
-        w1_opp = frozenset()
-
+    strat_i, strat_opp = {}, {}
     if not w1_opp:
         # The dominant player wins everywhere: follow the sub-solution
         # outside the attractor, attract toward the top priority inside
         # it, and move anywhere from the top nodes themselves.
-        if sub1 is not None:
-            strat_i.update(map1.map_to_orig(res1.strategy(i).choice))
+        strat_i.update(map1.map_to_orig(res1.strategy(i).choice))
         strat_i.update(att.strategy)
         for v in top:
             if game.owner[v] == i:
                 strat_i[v] = game.succ[v][0]
         w_i = frozenset(game.nodes())
-        s_i = Strategy(i, strat_i)
-        s_opp = Strategy(opp)
-        if i == 0:
-            return SolveResult(w_i, frozenset(), s_i, s_opp)
-        return SolveResult(frozenset(), w_i, s_opp, s_i)
-
-    # The opponent holds a piece; everything it attracts is lost for i.
-    batt = attractor(game, w1_opp, opp)
-    strat_opp.update(map1.map_to_orig(res1.strategy(opp).choice))
-    strat_opp.update(batt.strategy)
-    if len(batt.set) == game.n:
-        res2 = empty_result()
-        w_i = frozenset()
     else:
+        # The opponent holds a piece; everything it attracts is lost for i.
+        batt = attractor(game, w1_opp, opp)
+        strat_opp.update(map1.map_to_orig(res1.strategy(opp).choice))
+        strat_opp.update(batt.strategy)
         sub2, map2 = subgame(game, batt.set)
         res2 = win(sub2)
         w_i = map2.set_to_orig(res2.winners(i))
         strat_i.update(map2.map_to_orig(res2.strategy(i).choice))
         strat_opp.update(map2.map_to_orig(res2.strategy(opp).choice))
-    w_opp = frozenset(game.nodes()) - w_i
-    s_i = Strategy(i, strat_i)
-    s_opp = Strategy(opp, strat_opp)
-    if i == 0:
-        return SolveResult(w_i, w_opp, s_i, s_opp)
-    return SolveResult(w_opp, w_i, s_opp, s_i)
+    ours = (w_i, Strategy(i, strat_i))
+    theirs = (frozenset(game.nodes()) - w_i, Strategy(opp, strat_opp))
+    (w0, s0), (w1, s1) = (ours, theirs) if i == 0 else (theirs, ours)
+    return SolveResult(w0, w1, s0, s1)

@@ -301,3 +301,13 @@ def test_solve_leaves_the_recursion_limit_as_it_was(capsys, simple_game):
         sys.setrecursionlimit(original)
     assert code == 0
     assert after == 3001
+
+
+def test_solve_refuses_strategies_before_solving(capsys, simple_game):
+    for algo in ("fpt-k", "fpt-degree"):
+        code, out, err = run(
+            capsys, "solve", simple_game, "--algo", algo, "--emit-strategy"
+        )
+        assert code == 3
+        assert out == ""
+        assert "strategies" in err

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from paritykit import (
+    AttractorResult,
     BudgetExceeded,
     FptConfig,
     ParityGame,
@@ -160,3 +161,40 @@ def test_solve_rejects_a_result_that_is_not_a_partition(monkeypatch, w0, w1, mes
     monkeypatch.setattr(fpt, "new_win1", lambda game, cfg: bad)
     with pytest.raises(ParityKitError, match=message):
         solve(g, "fpt_k")
+
+
+def test_new_win1_never_kernelizes_its_own_kernel(monkeypatch):
+    returned = []
+    kernelize = fpt.kernelize_auto
+
+    def recording(game):
+        assert not any(game is kernel for kernel in returned), "kernel re-kernelized"
+        kernel, trace = kernelize(game)
+        returned.append(kernel)
+        return kernel, trace
+
+    monkeypatch.setattr(fpt, "kernelize_auto", recording)
+    for seed in range(40):
+        g = generate("general", 12, 6, seed)
+        assert new_win1(g, FptConfig(base_case_k=2)).w0 == solve(g, "zielonka").w0
+    assert returned
+
+
+def _attract_nothing(game, target, player):
+    return AttractorResult(frozenset(), {})
+
+
+def test_two_call_recursion_refuses_a_sub_game_that_does_not_shrink(monkeypatch):
+    monkeypatch.setattr(fpt, "attractor", _attract_nothing)
+    g = ParityGame([0, 1], [2, 1], [[1], [0]])
+    with pytest.raises(ParityKitError, match="did not shrink"):
+        old_win2(g, 2)
+
+
+def test_dominion_removal_refuses_a_sub_game_that_does_not_shrink(monkeypatch):
+    g = generate("general", 8, 4, 0)  # has a degree dominion at j = 2
+    monkeypatch.setattr(fpt, "attractor", _attract_nothing)
+    fpt.metrics.reset()
+    with pytest.raises(ParityKitError, match="did not shrink"):
+        new_win2(g, 2)
+    assert fpt.metrics.dominion_hits == 1

@@ -197,3 +197,14 @@ def test_brute_reports_a_loser_region_without_a_witness(monkeypatch):
     monkeypatch.setattr(zielonka, "win", wrong_winner)
     with pytest.raises(ParityKitError, match="witness"):
         solve_brute(g, enum_player=0)
+
+
+def test_brute_enumerates_without_deep_recursion():
+    # 1,500 Even nodes with one move each lead to an Odd node that can
+    # loop on priority 1: a single Even strategy, but a long node list.
+    n = 1501
+    edges = [[v + 1] for v in range(n - 1)] + [[0, n - 1]]
+    g = ParityGame([0] * (n - 1) + [1], [0] * (n - 1) + [1], edges)
+    res = solve_brute(g, enum_player=0)
+    assert res.w1 == frozenset(range(n))
+    assert verify_partition(g, res)
