@@ -9,9 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import ParityKitError
 from .game import ParityGame, subgame
-from .oracle import Strategy, verify_strategy
+from .oracle import Strategy, _witness_on, verify_strategy
 from .reach import attractor
 from .zielonka import win as _zielonka_win
 
@@ -32,15 +31,6 @@ class DegreeBudget:
     def __post_init__(self):
         if self.ell < 0 or self.s < 0 or self.j < 1:
             raise ValueError("need ell >= 0, s >= 0, j >= 1")
-
-
-def _witness_on(game: ParityGame, region, player: int) -> Strategy:
-    """Winning strategy for `player` on a region it fully wins."""
-    sub, smap = subgame(game, set(game.nodes()) - set(region))
-    res = _zielonka_win(sub)
-    if res.winners(player) != frozenset(sub.nodes()):
-        raise ParityKitError(f"player {player} has no witness on its dominion")
-    return Strategy(player, smap.map_to_orig(res.strategy(player).choice))
 
 
 def find_dominion_by_odd_nodes(game: ParityGame, ell: int, subsolver):
@@ -64,7 +54,7 @@ def find_dominion_by_odd_nodes(game: ParityGame, ell: int, subsolver):
             res = subsolver(sub)
             if res.winners(i):
                 region = smap.set_to_orig(res.winners(i))
-                return DominionResult(region, i, _witness_on(game, region, i))
+                return DominionResult(region, i, _witness_on(game, region, i, _zielonka_win))
     return None
 
 

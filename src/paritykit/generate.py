@@ -2,7 +2,7 @@
 
 Every family is deterministic in (family, n, priority_bound, seed, j, k):
 the RNG is seeded from the full argument tuple, so equal arguments give
-byte-identical games.
+byte-identical games. A family refuses a `j` or `k` that it does not use.
 """
 from __future__ import annotations
 
@@ -31,9 +31,13 @@ def generate(family: str, n: int, priority_bound: int, seed: int, *, j=None, k=N
     if family == "bounded_outdegree":
         if j is None or j < 1:
             raise InvalidFamilyParams("bounded_outdegree requires j >= 1")
+    elif j is not None:
+        raise InvalidFamilyParams(f"j applies to bounded_outdegree only, not {family}")
     if family == "unbalanced":
         if k is None or not 0 <= k <= n:
             raise InvalidFamilyParams("unbalanced requires 0 <= k <= n")
+    elif k is not None:
+        raise InvalidFamilyParams(f"k applies to unbalanced only, not {family}")
     if family == "bipartite" and n < 2:
         raise InvalidFamilyParams("bipartite requires n >= 2 (self-loops cross sides)")
 

@@ -14,7 +14,7 @@ from .errors import NotBipartite, NotSmallerSide, TraceMismatch
 from .game import ParityGame, is_bipartite, p1_value, p_value, swap_roles
 from .oracle import SolveResult
 from .reach import attractor
-from .util import tarjan_sccs
+from .util import _parity_cycles, tarjan_sccs
 
 
 # --- trace events -----------------------------------------------------------
@@ -209,16 +209,9 @@ def kernelize_general(game: ParityGame):
 
     # (2) cycles inside the even side with even maximum priority are won
     # by Even outright; remove everything she can steer into them.
-    v0 = [v for v in work.nodes() if work.owner[v] == 0]
     on_even_cycle = set()
-    for d in sorted({work.prio[v] for v in v0 if work.prio[v] % 2 == 0}):
-        level = [v for v in v0 if work.prio[v] <= d]
-        level_set = set(level)
-        for scc in tarjan_sccs(level, lambda v: work.succ[v] & level_set):
-            if len(scc) == 1 and scc[0] not in work.succ[scc[0]]:
-                continue
-            if any(work.prio[v] == d for v in scc):
-                on_even_cycle.update(scc)
+    for scc, _ in _parity_cycles(work.side(0), work.prio, lambda v: work.succ[v], 0):
+        on_even_cycle.update(scc)
     if on_even_cycle:
         dead = attractor(work, on_even_cycle, 0).set
         events.append(DominionRemoved(tuple(sorted(dead)), 0))

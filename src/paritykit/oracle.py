@@ -14,7 +14,7 @@ from math import prod
 from .errors import BudgetExceeded, MissingStrategies, ParityKitError, PreconditionViolated
 from .game import ParityGame, subgame
 from .reach import attractor, first_open_node
-from .util import tarjan_sccs
+from .util import _parity_cycles
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,10 @@ def solve_solitary(game: ParityGame, mover: int) -> SolveResult:
     """Solve a game in which only `mover` has choices.
 
     The mover wins exactly the nodes from which some cycle with a
-    mover-parity maximum priority is reachable. Runs in O(p * m): for
-    each mover-parity priority d (descending), cyclic SCCs of the
-    priority-<=-d subgraph that contain a priority-d node are winning
-    structures; everything that reaches one wins.
+    mover-parity maximum priority is reachable. One nested SCC
+    decomposition finds those cycles' maximal SCCs, at O(m) per nesting
+    level; inside each, the mover steers toward its smallest top-priority
+    node, and every node that reaches one is attracted to it.
     """
     opp = 1 - mover
     for v in game.nodes():
@@ -62,45 +62,33 @@ def solve_solitary(game: ParityGame, mover: int) -> SolveResult:
             raise PreconditionViolated(
                 f"opponent node {v} has out-degree {len(game.succ[v])} != 1"
             )
-    n = game.n
     winning = set()
     strategy = {}
-    good_priorities = sorted(
-        {p for p in game.priority if p % 2 == mover % 2}, reverse=True
-    )
-    for d in good_priorities:
-        nodes_le = [v for v in range(n) if game.priority[v] <= d]
-        for scc in tarjan_sccs(nodes_le, lambda v: game.succ[v]):
-            if scc[0] in winning:
-                continue  # nested inside a structure found at a higher d
-            if not any(game.priority[v] == d for v in scc):
-                continue
-            if len(scc) == 1 and scc[0] not in game.succ[scc[0]]:
-                continue
-            scc_set = set(scc)
-            x = min(v for v in scc if game.priority[v] == d)
-            # BFS on reversed edges: dist[v] = steps from v to x inside the SCC.
-            dist = {x: 0}
-            queue = deque([x])
-            while queue:
-                w = queue.popleft()
-                for u in game.pred[w]:
-                    if u in scc_set and u not in dist:
-                        dist[u] = dist[w] + 1
-                        queue.append(u)
-            winning.update(scc)
-            for v in scc:
-                if game.owner[v] == mover:
-                    strategy[v] = min(
-                        (w for w in game.succ[v] if w in scc_set),
-                        key=lambda w: (dist[w], w),
-                    )
+    for scc, top in _parity_cycles(game.nodes(), game.priority, lambda v: game.succ[v], mover):
+        scc_set = set(scc)
+        x = min(v for v in scc if game.priority[v] == top)
+        # BFS on reversed edges: dist[v] = steps from v to x inside the SCC.
+        dist = {x: 0}
+        queue = deque([x])
+        while queue:
+            w = queue.popleft()
+            for u in game.pred[w]:
+                if u in scc_set and u not in dist:
+                    dist[u] = dist[w] + 1
+                    queue.append(u)
+        winning.update(scc)
+        for v in scc:
+            if game.owner[v] == mover:
+                strategy[v] = min(
+                    (w for w in game.succ[v] if w in scc_set),
+                    key=lambda w: (dist[w], w),
+                )
     # Opponent nodes have one move each, so reaching a winning structure
     # is being attracted to it.
     att = attractor(game, winning, mover)
     strategy.update(att.strategy)
     w_mover = att.set
-    w_opp = frozenset(v for v in range(n) if v not in w_mover)
+    w_opp = frozenset(v for v in game.nodes() if v not in w_mover)
     opp_strategy = Strategy(
         opp, {v: game.succ[v][0] for v in w_opp if game.owner[v] == opp}
     )
@@ -174,22 +162,27 @@ def solve_brute(game: ParityGame, budget: int = 10**6, enum_player=None) -> Solv
         # the opponent here could explode, so use the recursive solver.
         from .zielonka import win as _zielonka_win
 
-        sub, smap = subgame(game, all_nodes - w_opp)
-        res = _zielonka_win(sub)
-        if res.winners(opp) != frozenset(sub.nodes()):
-            raise ParityKitError(f"player {opp} has no witness on its own region")
-        opp_strategy = Strategy(opp, smap.map_to_orig(res.strategy(opp).choice))
+        opp_strategy = _witness_on(game, w_opp, opp, _zielonka_win)
     if enum_player == 0:
         return SolveResult(w_enum, w_opp, enum_strategy, opp_strategy)
     return SolveResult(w_opp, w_enum, opp_strategy, enum_strategy)
 
 
+def _witness_on(game: ParityGame, region, player: int, solver) -> Strategy:
+    """Winning strategy for `player` on a region it wins whole, taken from
+    `solver` on the sub-game induced by the region."""
+    sub, smap = subgame(game, set(game.nodes()) - set(region))
+    res = solver(sub)
+    if res.winners(player) != frozenset(sub.nodes()):
+        raise ParityKitError(f"player {player} has no witness on its own region")
+    return Strategy(player, smap.map_to_orig(res.strategy(player).choice))
+
+
 def verify_strategy(game: ParityGame, nodes, strat: Strategy) -> bool:
     """Check that `strat` wins from every node of `nodes` without leaving.
 
-    Fixes the strategy, restricts the game to `nodes`, and solves the
-    remaining solitary game for the opponent; true iff the opponent wins
-    nowhere.
+    Fixes the strategy and restricts the game to `nodes`; true iff no
+    cycle left there has a highest priority of the opponent's parity.
     """
     node_set = set(nodes)
     owner = strat.owner
@@ -208,21 +201,11 @@ def verify_strategy(game: ParityGame, nodes, strat: Strategy) -> bool:
                     raise PreconditionViolated(
                         f"set is not closed: opponent escapes via {v}->{w}"
                     )
-    if not node_set:
-        return True
-    ids = sorted(node_set)
-    to_sub = {v: i for i, v in enumerate(ids)}
-    edges = []
-    for v in ids:
-        if game.owner[v] == owner:
-            edges.append([to_sub[strat.choice[v]]])
-        else:
-            edges.append([to_sub[w] for w in game.succ[v]])
-    sub = ParityGame(
-        [game.owner[v] for v in ids], [game.priority[v] for v in ids], edges
-    )
-    res = solve_solitary(sub, mover=1 - owner)
-    return not res.winners(1 - owner)
+
+    def moves(v):
+        return (strat.choice[v],) if game.owner[v] == owner else game.succ[v]
+
+    return next(_parity_cycles(node_set, game.priority, moves, 1 - owner), None) is None
 
 
 def verify_partition_report(game: ParityGame, result: SolveResult):

@@ -57,6 +57,33 @@ def tarjan_sccs(nodes, succ):
     return sccs
 
 
+def _parity_cycles(nodes, priority, succ, parity):
+    """Yield (scc, top) for each maximal cyclic SCC of `nodes` whose top
+    priority `top` has `parity`; their union is the set of nodes on a
+    cycle whose highest priority has that parity.
+
+    Nested SCC decomposition, as for parity-automaton emptiness (King,
+    Kupferman & Vardi, FoSSaCS 2001): a part keeps its nodes up to its
+    highest priority of `parity`, and each non-trivial SCC of those is
+    yielded when its top has the parity, else decomposed again. `succ(v)`
+    yields successors; edges leaving `nodes` are ignored.
+    """
+    parts = [list(nodes)]
+    while parts:
+        part = parts.pop()
+        d = max((priority[v] for v in part if priority[v] % 2 == parity), default=None)
+        if d is None:
+            continue
+        for scc in tarjan_sccs([v for v in part if priority[v] <= d], succ):
+            if len(scc) == 1 and scc[0] not in succ(scc[0]):
+                continue
+            top = max(priority[v] for v in scc)
+            if top % 2 == parity:
+                yield scc, top
+            else:
+                parts.append(scc)
+
+
 def ceil_sqrt(x: int) -> int:
     """Smallest integer s with s*s >= x, for x >= 0."""
     if x <= 0:

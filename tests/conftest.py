@@ -58,3 +58,29 @@ def naive_attractor(game: ParityGame, target, player: int) -> frozenset:
                 reached.add(v)
                 changed = True
     return frozenset(reached)
+
+
+def naive_parity_cycle_nodes(nodes, priority, succ, parity) -> frozenset:
+    """Nodes v lying on a cycle of the priority-<=-d subgraph through a
+    priority-d node, for some d of `parity`; edges leaving `nodes` are
+    ignored. Reachability is recomputed from scratch for every d."""
+    nodes = set(nodes)
+    marked = set()
+    for d in {priority[v] for v in nodes if priority[v] % 2 == parity}:
+        level = {v for v in nodes if priority[v] <= d}
+
+        def reach_plus(v):  # nodes reachable from v by at least one edge
+            seen = set()
+            stack = [w for w in succ(v) if w in level]
+            while stack:
+                w = stack.pop()
+                if w not in seen:
+                    seen.add(w)
+                    stack.extend(x for x in succ(w) if x in level)
+            return seen
+
+        reach = {v: reach_plus(v) for v in level}
+        for x in level:
+            if priority[x] == d and x in reach[x]:
+                marked.update(v for v in level if v in reach[x] and x in reach[v])
+    return frozenset(marked)

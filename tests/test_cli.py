@@ -311,3 +311,16 @@ def test_solve_refuses_strategies_before_solving(capsys, simple_game):
         assert code == 3
         assert out == ""
         assert "strategies" in err
+
+
+def test_gen_refuses_a_parameter_the_family_ignores(capsys):
+    for argv in (
+        ("general", "5", "--k", "3"),
+        ("bipartite", "6", "--j", "2"),
+        ("unbalanced", "6", "--k", "2", "--j", "2"),
+        ("bounded_outdegree", "6", "--j", "2", "--k", "1"),
+    ):
+        code, out, err = run(capsys, "gen", *argv, "--seed", "1")
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1

@@ -77,3 +77,16 @@ def test_parameter_validation():
         generate("unbalanced", 5, 4, 0, k=6)
     with pytest.raises(InvalidFamilyParams):
         generate("bipartite", 1, 4, 0)
+
+
+def test_parameters_are_refused_outside_their_family():
+    # j and k seed the RNG, so accepting them elsewhere would silently
+    # change the game instead of failing.
+    for family in ("general", "bipartite", "unbalanced"):
+        kw = {"k": 2} if family == "unbalanced" else {}
+        with pytest.raises(InvalidFamilyParams, match="bounded_outdegree"):
+            generate(family, 6, 4, 0, j=2, **kw)
+    for family in ("general", "bipartite", "bounded_outdegree"):
+        kw = {"j": 2} if family == "bounded_outdegree" else {}
+        with pytest.raises(InvalidFamilyParams, match="unbalanced"):
+            generate(family, 6, 4, 0, k=2, **kw)

@@ -20,7 +20,7 @@ from paritykit import (
 
 from paritykit import oracle, zielonka
 
-from conftest import seeded_games
+from conftest import naive_parity_cycle_nodes, seeded_games
 
 
 def max_priority_on_cycle(game, walk_from):
@@ -208,3 +208,31 @@ def test_brute_enumerates_without_deep_recursion():
     res = solve_brute(g, enum_player=0)
     assert res.w1 == frozenset(range(n))
     assert verify_partition(g, res)
+
+
+def test_verify_strategy_builds_no_game_and_runs_no_solitary_solve(monkeypatch):
+    cases = []
+    for g in seeded_games(150, n_range=(1, 8), priority_bound=6, seed=33):
+        res = zielonka.win(g)
+        for player in (0, 1):
+            # The true witness on its region, and each node's first move
+            # on the whole game, which wins some games and loses others.
+            first = {v: g.succ[v][0] for v in g.nodes() if g.owner[v] == player}
+            for nodes, strat in (
+                (res.winners(player), res.strategy(player)),
+                (frozenset(g.nodes()), Strategy(player, first)),
+            ):
+                def moves(v, g=g, strat=strat):
+                    return (strat.choice[v],) if v in strat.choice else g.succ[v]
+
+                opp_cycles = naive_parity_cycle_nodes(nodes, g.priority, moves, 1 - player)
+                cases.append((g, nodes, strat, not opp_cycles))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_strategy must not need this")
+
+    monkeypatch.setattr(oracle, "ParityGame", refuse)
+    monkeypatch.setattr(oracle, "solve_solitary", refuse)
+    answers = [verify_strategy(g, nodes, strat) for g, nodes, strat, _ in cases]
+    assert answers == [expected for *_, expected in cases]
+    assert True in answers and False in answers
