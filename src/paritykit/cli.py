@@ -15,7 +15,7 @@ import threading
 import time
 from pathlib import Path
 
-from . import fpt, pgsolver
+from . import pgsolver
 from .errors import (
     BudgetExceeded,
     InvalidFamilyParams,
@@ -23,7 +23,7 @@ from .errors import (
     NotBipartite,
     ParseError,
 )
-from .fpt import FptConfig, degree_threshold, solve
+from .fpt import FptConfig, degree_threshold, solve, solve_context
 from .game import is_bipartite, stats, validate
 from .generate import FAMILIES, generate
 from .kernel import (
@@ -112,10 +112,15 @@ def cmd_solve(args) -> int:
         sub_j=args.j,
         brute_budget=args.budget,
     )
-    fpt.metrics.reset()
+
+    def counted_solve():
+        # A new thread starts with no context, so the solve's is opened here.
+        with solve_context() as ctx:
+            return solve(game, _ALGO_NAMES[args.algo], cfg), ctx
+
     start = time.perf_counter_ns()
     try:
-        res = _run_big_stack(lambda: solve(game, _ALGO_NAMES[args.algo], cfg))
+        res, ctx = _run_big_stack(counted_solve)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -131,8 +136,8 @@ def cmd_solve(args) -> int:
             print(f"S{player}: {pairs}")
     if args.report_metrics:
         print(f"ns: {elapsed}")
-        print(f"depth: {fpt.metrics.max_depth}")
-        print(f"dominion_hits: {fpt.metrics.dominion_hits}")
+        print(f"depth: {ctx.max_depth}")
+        print(f"dominion_hits: {ctx.dominion_hits}")
         if args.algo == "fpt-degree":
             print(f"j: {degree_threshold(game, cfg)}")
     return EXIT_OK

@@ -5,10 +5,15 @@ every level; new_win2 by an out-degree threshold j. Each level of both
 brute-forces a small base, else removes a dominion a cheap search found,
 else falls back to old_win1/old_win2, the classic two-call recursion
 with new_win underneath. Results along these paths are partition-only.
+
+Each top-level solve runs in one SolveContext, which holds its counters
+and new_win1's memo of the sub-games it has already solved.
 """
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .errors import ParityKitError
@@ -21,21 +26,53 @@ from .util import ceil_sqrt
 from . import zielonka
 
 
-class Metrics:
-    """Run counters for reporting; reset before a timed solve."""
+class SolveContext:
+    """Counters and new_win1's memo for one top-level solve.
 
-    __slots__ = ("depth", "max_depth", "dominion_hits")
+    `depth`/`max_depth` count dominion-step levels, `dominion_hits` the
+    dominions removed, and `memo_hits` the new_win1 calls answered from
+    `memo`, which maps (game, cfg) to the partition already computed.
+    """
+
+    __slots__ = ("depth", "max_depth", "dominion_hits", "memo_hits", "memo")
 
     def __init__(self):
-        self.reset()
-
-    def reset(self):
         self.depth = 0
         self.max_depth = 0
         self.dominion_hits = 0
+        self.memo_hits = 0
+        self.memo = {}
 
 
-metrics = Metrics()
+_current: ContextVar[SolveContext | None] = ContextVar("paritykit_solve_context", default=None)
+
+
+@contextmanager
+def solve_context():
+    """Run the solves inside the block in a fresh SolveContext and yield it.
+
+    Everything solved inside the block counts as one solve and shares its
+    counters and memo; read the counters after the block. Without this,
+    each outermost new_win1/new_win2 call opens a context of its own and
+    drops it when it returns.
+    """
+    ctx = SolveContext()
+    token = _current.set(ctx)
+    try:
+        yield ctx
+    finally:
+        _current.reset(token)
+
+
+@contextmanager
+def _current_or_new():
+    """The current SolveContext, or a new one for the length of the block."""
+    ctx = _current.get()
+    if ctx is not None:
+        yield ctx
+    else:
+        with solve_context() as ctx:
+            yield ctx
 
 
 @dataclass(frozen=True)
@@ -79,17 +116,33 @@ def _partition(game: ParityGame, w0) -> SolveResult:
 
 
 def new_win1(game: ParityGame, cfg: FptConfig | None = None) -> SolveResult:
-    """Exact partition via odd-node-count parameterization."""
+    """Exact partition via odd-node-count parameterization.
+
+    A game already solved with the same cfg in the current solve is
+    answered from the context's memo, adding no level and no dominion hit.
+    """
     cfg = cfg or FptConfig()
     if game.n == 0:
         return empty_result()
+    with _current_or_new() as ctx:
+        key = (game, cfg)
+        res = ctx.memo.get(key)
+        if res is not None:
+            ctx.memo_hits += 1
+            return res
+        res = ctx.memo[key] = _solve_by_odd_nodes(ctx, game, cfg)
+        return res
+
+
+def _solve_by_odd_nodes(ctx: SolveContext, game: ParityGame, cfg: FptConfig) -> SolveResult:
+    """new_win1's work on a non-empty game it has not solved yet."""
     k = sum(game.owner)
     if k > game.n - k:
         return new_win1(swap_roles(game), cfg).flipped()
     ell = _ell_from_k(k)
     kernel, trace = kernelize_auto(game) if cfg.kernelize else (game, None)
     res = _dominion_step(
-        kernel, cfg, k <= cfg.base_case_k,
+        ctx, kernel, cfg, k <= cfg.base_case_k,
         lambda: find_dominion_by_odd_nodes(kernel, ell, lambda sub: new_win1(sub, cfg)),
         lambda sub: new_win1(sub, cfg),
         lambda: old_win1(kernel, cfg),
@@ -103,12 +156,13 @@ def old_win1(game: ParityGame, cfg: FptConfig | None = None) -> SolveResult:
     return _two_call_recursion(game, lambda sub: new_win1(sub, cfg))
 
 
-def _dominion_step(game: ParityGame, cfg, small, search, recurse, fallback) -> SolveResult:
-    """One level of new_win1/new_win2: brute force when `small`, else
-    remove the dominion `search()` finds and solve the rest with
-    `recurse`, else `fallback()`."""
-    metrics.depth += 1
-    metrics.max_depth = max(metrics.max_depth, metrics.depth)
+def _dominion_step(ctx: SolveContext, game: ParityGame, cfg, small, search, recurse,
+                   fallback) -> SolveResult:
+    """One level of new_win1/new_win2, counted in `ctx`: brute force when
+    `small`, else remove the dominion `search()` finds and solve the rest
+    with `recurse`, else `fallback()`."""
+    ctx.depth += 1
+    ctx.max_depth = max(ctx.max_depth, ctx.depth)
     try:
         if game.n == 0:
             return empty_result()
@@ -117,9 +171,10 @@ def _dominion_step(game: ParityGame, cfg, small, search, recurse, fallback) -> S
         dom = search()
         if dom is None:
             return fallback()
+        ctx.dominion_hits += 1
         return _remove_dominion(game, dom, recurse)
     finally:
-        metrics.depth -= 1
+        ctx.depth -= 1
 
 
 def _shrunk_subgame(game: ParityGame, removed):
@@ -135,7 +190,6 @@ def _remove_dominion(game: ParityGame, dom, recurse) -> SolveResult:
     """Give the dominion's owner its attractor, solve the rest with
     `recurse`, and give the owner everything the opponent does not win
     there."""
-    metrics.dominion_hits += 1
     removed = attractor(game, dom.set, dom.owner).set
     sub, smap = _shrunk_subgame(game, removed)
     res = recurse(sub)
@@ -201,12 +255,13 @@ def new_win2(game: ParityGame, j: int, cfg: FptConfig | None = None) -> SolveRes
         return empty_result()
     s_j = stats(game).s_of(j)
     n = game.n
-    return _dominion_step(
-        game, cfg, s_j <= cfg.base_case_degree and n - s_j <= cfg.base_case_degree,
-        lambda: find_dominion_by_degree(game, _degree_budget(n, s_j, j)),
-        lambda sub: new_win2(sub, j, cfg),
-        lambda: old_win2(game, j, cfg),
-    )
+    with _current_or_new() as ctx:
+        return _dominion_step(
+            ctx, game, cfg, s_j <= cfg.base_case_degree and n - s_j <= cfg.base_case_degree,
+            lambda: find_dominion_by_degree(game, _degree_budget(n, s_j, j)),
+            lambda sub: new_win2(sub, j, cfg),
+            lambda: old_win2(game, j, cfg),
+        )
 
 
 def old_win2(game: ParityGame, j: int, cfg: FptConfig | None = None) -> SolveResult:

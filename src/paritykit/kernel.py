@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import NotBipartite, NotSmallerSide, TraceMismatch
+from .errors import NotBipartite, NotSmallerSide, ParityKitError, TraceMismatch
 from .game import ParityGame, is_bipartite, p1_value, p_value, swap_roles
 from .oracle import SolveResult
 from .reach import attractor
@@ -272,10 +272,15 @@ def kernelize_general(game: ParityGame):
     for v in v0:
         if v in relay_nodes:
             continue
-        assert best[v], "even node survived step (3) but reaches no target"
+        if not best[v]:
+            raise ParityKitError(f"even node {v} survived step (3) but reaches no target")
         new_succ = set()
         for w, d in best[v].items():
-            assert d >= work.prio[v]
+            if d < work.prio[v]:
+                raise ParityKitError(
+                    f"best path from even node {v} tops at priority {d},"
+                    f" below its own {work.prio[v]}"
+                )
             new_succ.add(get_relay(d, w, "transit"))
         for w in list(work.succ[v]):
             work.remove_edge(v, w)

@@ -11,6 +11,8 @@ from paritykit import (
     is_bipartite,
     kernelize_auto,
     pgsolver,
+    solve,
+    solve_context,
     trace_lines,
 )
 from paritykit.cli import main
@@ -74,6 +76,23 @@ def test_solve_metrics_output(capsys, simple_game):
     assert int(fields["depth"]) >= 1
     assert int(fields["dominion_hits"]) >= 0
     assert int(fields["j"]) >= 2
+
+
+def test_report_metrics_match_an_in_process_solve(capsys, tmp_path):
+    # The CLI solves in a thread of its own; its counters must be the
+    # ones that solve reports in this thread under solve_context().
+    path = write_game(tmp_path, generate("general", 24, 8, 2))
+    game = pgsolver.read_file(path)[0]
+    for algo, name in (("fpt-k", "fpt_k"), ("fpt-degree", "fpt_degree")):
+        code, out, err = run(capsys, "solve", path, "--algo", algo, "--report-metrics")
+        assert code == 0, err
+        fields = dict(line.split(": ", 1) for line in out.splitlines())
+        with solve_context() as ctx:
+            solve(game, name)
+        assert (int(fields["depth"]), int(fields["dominion_hits"])) == (
+            ctx.max_depth, ctx.dominion_hits
+        )
+        assert ctx.max_depth >= 1
 
 
 def test_solve_strategy_unavailable_for_fpt(capsys, simple_game):

@@ -1,5 +1,7 @@
 """Parameterized solvers: budgets, threshold choice, and agreement."""
 import math
+import sys
+import threading
 
 import pytest
 
@@ -18,6 +20,8 @@ from paritykit import (
     old_win2,
     solve,
     solve_brute,
+    solve_context,
+    win,
 )
 from paritykit import fpt
 from paritykit.fpt import _degree_budget, _ell_from_k
@@ -110,12 +114,12 @@ def test_new_win2_rejects_unit_threshold():
 
 
 def test_metrics_track_depth_and_hits():
-    fpt.metrics.reset()
-    assert (fpt.metrics.depth, fpt.metrics.max_depth) == (0, 0)
     g = generate("general", 8, 4, 3)
-    new_win1(g, FptConfig(base_case_k=2))
-    assert fpt.metrics.depth == 0  # balanced enter/exit
-    assert fpt.metrics.max_depth >= 1
+    with solve_context() as ctx:
+        assert (ctx.depth, ctx.max_depth, ctx.dominion_hits) == (0, 0, 0)
+        new_win1(g, FptConfig(base_case_k=2))
+        assert ctx.depth == 0  # balanced enter/exit
+    assert ctx.max_depth >= 1
 
 
 def test_solve_dispatch():
@@ -194,7 +198,131 @@ def test_two_call_recursion_refuses_a_sub_game_that_does_not_shrink(monkeypatch)
 def test_dominion_removal_refuses_a_sub_game_that_does_not_shrink(monkeypatch):
     g = generate("general", 8, 4, 0)  # has a degree dominion at j = 2
     monkeypatch.setattr(fpt, "attractor", _attract_nothing)
-    fpt.metrics.reset()
-    with pytest.raises(ParityKitError, match="did not shrink"):
-        new_win2(g, 2)
-    assert fpt.metrics.dominion_hits == 1
+    with solve_context() as ctx:
+        with pytest.raises(ParityKitError, match="did not shrink"):
+            new_win2(g, 2)
+    assert ctx.dominion_hits == 1
+    assert ctx.depth == 0  # the raising level was left too
+
+
+def _fpt_corpus():
+    """The seeded games that the agreement tests above solve."""
+    for family, kw in (
+        ("general", {}),
+        ("bipartite", {}),
+        ("bounded_outdegree", {"j": 2}),
+        ("unbalanced", {"k": 2}),
+    ):
+        for seed in range(scale(40, 8)):
+            yield generate(family, 8, 5, seed, **kw)
+    yield from seeded_games(scale(120, 30), n_range=(2, 8), seed=61)
+    yield from seeded_games(scale(80, 20), n_range=(4, 8), seed=67)
+
+
+@pytest.mark.parametrize("cfg", [FptConfig(), FptConfig(base_case_k=2)], ids=("default", "k2"))
+def test_new_win1_matches_zielonka_on_the_seeded_corpora(cfg):
+    for g in _fpt_corpus():
+        res, ref = new_win1(g, cfg), win(g)
+        assert (res.w0, res.w1) == (ref.w0, ref.w1)
+
+
+def _counters(ctx):
+    return ctx.depth, ctx.max_depth, ctx.dominion_hits, ctx.memo_hits, len(ctx.memo)
+
+
+# new_win1 meets many of this game's sub-games more than once.
+REPEATS = ("general", 24, 8, 2)
+
+
+def test_memo_answers_repeated_sub_games_correctly():
+    g = generate(*REPEATS)
+    with solve_context() as ctx:
+        res = new_win1(g)
+    assert ctx.memo_hits > 0
+    assert (res.w0, res.w1) == (win(g).w0, win(g).w1)
+    for (sub, cfg), stored in ctx.memo.items():
+        assert cfg == FptConfig()
+        assert (stored.w0, stored.w1) == (win(sub).w0, win(sub).w1)
+
+
+def test_a_memo_hit_adds_no_level_and_no_dominion_hit():
+    g = generate(*REPEATS)
+    with solve_context() as ctx:
+        new_win1(g)
+        depth, max_depth, hits, memo_hits, size = _counters(ctx)
+        new_win1(g)
+    assert _counters(ctx) == (depth, max_depth, hits, memo_hits + 1, size)
+
+
+@pytest.mark.parametrize("cfg", [FptConfig(), FptConfig(base_case_k=2)], ids=("default", "k2"))
+def test_counters_repeat_across_solves_of_one_game(cfg):
+    g = generate(*REPEATS)
+    runs = []
+    for _ in range(2):
+        with solve_context() as ctx:
+            new_win1(g, cfg)
+            new_win2(g, 3, cfg)
+        runs.append(_counters(ctx))
+    assert runs[0] == runs[1]
+    assert runs[0][1] >= 1 and runs[0][3] > 0
+
+
+def test_a_nested_context_shares_nothing_with_the_outer_one():
+    g = generate(*REPEATS)
+    with solve_context() as alone:
+        new_win1(g)
+    with solve_context() as outer:
+        new_win1(generate("general", 12, 6, 0))
+        before = _counters(outer)
+        with solve_context() as inner:
+            new_win1(g)
+        assert _counters(outer) == before
+    assert _counters(inner) == _counters(alone)
+
+
+def test_no_context_is_left_current_after_a_solve():
+    g = generate(*REPEATS)
+    new_win1(g)
+    new_win2(g, 2)
+    old_win1(g)
+    solve(g, "fpt_k")
+    solve(g, "fpt_degree")
+    with solve_context():
+        new_win1(g)
+    assert fpt._current.get() is None
+    with pytest.raises(BudgetExceeded):
+        new_win1(g, FptConfig(base_case_k=20, brute_budget=1))
+    assert fpt._current.get() is None
+
+
+def test_concurrent_solves_share_no_counters_or_memo():
+    games = [generate(*REPEATS)] + [generate("bipartite", 24, 8, s) for s in range(3)]
+    cfg = FptConfig(base_case_k=2)
+
+    def counted(g):
+        with solve_context() as ctx:
+            res = new_win1(g, cfg)
+            new_win2(g, 3, cfg)
+        return _counters(ctx), set(ctx.memo), (res.w0, res.w1)
+
+    expected = [counted(g) for g in games]
+    assert len({frozenset(keys) for _, keys, _ in expected}) == len(games)
+    seen = [[] for _ in games]
+
+    def worker(i):
+        for _ in range(3):
+            seen[i].append(counted(games[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(games))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [[e] * 3 for e in expected]
+    assert fpt._current.get() is None

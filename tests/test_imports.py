@@ -1,9 +1,15 @@
-"""Every name a library module imports is used in that module, and every
-private module-level function is used by some module."""
+"""Every name a library module imports is used in that module, every
+private module-level function is used by some module, no module holds
+an `assert`, and solving leaves every module's globals as they were."""
 import ast
+import sys
+import types
 from pathlib import Path
 
 import pytest
+
+import paritykit
+from paritykit import fpt
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "paritykit"
 # __init__.py imports to re-export; its names are used by importers.
@@ -74,3 +80,69 @@ def test_private_function_detector_flags_only_unused_helpers():
 def test_every_private_function_is_used():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert unreferenced_private_functions(sources) == []
+
+
+# The formula guards that acceptance criterion 7 reads.
+ALLOWED_ASSERTS = {("fpt.py", "_ell_from_k"), ("fpt.py", "_degree_budget")}
+
+
+def asserts_by_function(source):
+    """(top-level function or None, line) of every `assert` in `source`."""
+    found = []
+    for stmt in ast.parse(source).body:
+        name = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        found += [(name, n.lineno) for n in ast.walk(stmt) if isinstance(n, ast.Assert)]
+    return found
+
+
+def test_assert_detector_names_the_enclosing_function():
+    source = "assert x\ndef f():\n    if y:\n        assert y\nclass C:\n    assert z\n"
+    assert asserts_by_function(source) == [(None, 1), ("f", 4), (None, 6)]
+
+
+def test_no_module_checks_with_assert():
+    # `python -O` strips asserts; checks that guard results must raise.
+    found = [
+        (p.name, name, line)
+        for p in sorted(SRC.glob("*.py"))
+        for name, line in asserts_by_function(p.read_text(encoding="utf-8"))
+        if (p.name, name) not in ALLOWED_ASSERTS
+    ]
+    assert found == []
+
+
+def _module_state():
+    """Every paritykit module's globals by identity, plus the identities
+    held by each module-level container and plain object."""
+    state = {}
+    for name, mod in sorted(sys.modules.items()):
+        if name != "paritykit" and not name.startswith("paritykit."):
+            continue
+        for attr, value in vars(mod).items():
+            if attr.startswith("__"):
+                continue
+            contents = None
+            if isinstance(value, dict):
+                contents = [(k, id(v)) for k, v in value.items()]
+            elif isinstance(value, (list, set, bytearray)):
+                contents = [id(v) for v in value]
+            elif not isinstance(value, (type, types.ModuleType, types.FunctionType)):
+                slots = getattr(type(value), "__slots__", ())
+                contents = [(a, id(getattr(value, a, None))) for a in slots]
+                contents += [(k, id(v)) for k, v in getattr(value, "__dict__", {}).items()]
+            state[name, attr] = (id(value), contents)
+    return state
+
+
+def test_solving_leaves_no_module_level_state():
+    assert not hasattr(fpt, "metrics") and not hasattr(fpt, "Metrics")
+    games = [
+        paritykit.generate("general", 24, 8, 2),
+        paritykit.generate("unbalanced", 40, 6, 0, k=3),
+    ]
+    before = _module_state()
+    for g in games:
+        paritykit.solve(g, "fpt_k")
+        paritykit.solve(g, "fpt_degree")
+    assert _module_state() == before
+    assert fpt._current.get() is None
