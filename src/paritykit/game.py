@@ -33,7 +33,7 @@ class ParityGame:
     """Immutable directed game graph with per-node owner and priority.
 
     Duplicate edges collapse silently on construction; self-loops are
-    allowed. The reverse adjacency is derived and always consistent.
+    allowed. The reverse adjacency is always the transpose of `succ`.
     """
 
     __slots__ = ("owner", "priority", "succ", "pred")
@@ -54,14 +54,29 @@ class ParityGame:
             if ts and (ts[0] < 0 or ts[-1] >= n):
                 raise ValueError(f"edge from node {u} to out-of-range id")
             succ.append(tuple(ts))
-        pred = [[] for _ in range(n)]
-        for u, ts in enumerate(succ):
-            for v in ts:
-                pred[v].append(u)
+        self._fill(owner, priority, tuple(succ))
+
+    @classmethod
+    def _canonical(cls, owner, priority, succ, pred=None):
+        """A game built from tuples that are already deduplicated, ascending
+        and in range, with none of `__init__`'s checks. `pred`, when given,
+        must be the transpose of `succ`; it is derived when omitted."""
+        game = object.__new__(cls)
+        game._fill(owner, priority, succ, pred)
+        return game
+
+    def _fill(self, owner, priority, succ, pred=None):
+        # The only code that sets the slots; see `_canonical` for its contract.
+        if pred is None:
+            lists = [[] for _ in succ]
+            for u, ts in enumerate(succ):
+                for v in ts:
+                    lists[v].append(u)
+            pred = tuple(tuple(ps) for ps in lists)
         self.owner = owner
         self.priority = priority
-        self.succ = tuple(succ)
-        self.pred = tuple(tuple(ps) for ps in pred)
+        self.succ = succ
+        self.pred = pred
 
     @property
     def n(self) -> int:
@@ -108,8 +123,9 @@ def validate(game: ParityGame) -> ValidationReport:
     for v in game.nodes():
         if not game.succ[v]:
             violations.append(f"sink node {v}")
-    # Duplicates and dangling ids cannot survive construction, but the
-    # transpose check guards against future representation changes.
+    # Duplicates and dangling ids cannot survive construction. `pred` is
+    # not always derived from `succ`: `subgame` filters its parent's
+    # `pred`, and the transpose check guards that.
     pred = [[] for _ in range(game.n)]
     for u, ts in enumerate(game.succ):
         for v in ts:
@@ -179,19 +195,27 @@ def subgame(game: ParityGame, remove) -> tuple:
     """
     remove = set(remove)
     keep = [v for v in game.nodes() if v not in remove]
-    to_sub = {v: i for i, v in enumerate(keep)}
-    edges = []
+    to_sub = [-1] * game.n
+    for i, v in enumerate(keep):
+        to_sub[v] = i
+    # The parent's lists are ascending and `to_sub` is monotone, so the
+    # filtered lists are ascending and the filtered pred is the transpose.
+    succ = []
     for v in keep:
-        ts = [to_sub[w] for w in game.succ[v] if w not in remove]
+        ts = tuple([to_sub[w] for w in game.succ[v] if to_sub[w] >= 0])
         if not ts:
             raise PreconditionViolated(
                 f"node {v} becomes a sink in the sub-game (complement not closed)"
             )
-        edges.append(ts)
-    sub = ParityGame(
-        [game.owner[v] for v in keep],
-        [game.priority[v] for v in keep],
-        edges,
+        succ.append(ts)
+    pred = tuple(
+        [tuple([to_sub[u] for u in game.pred[v] if to_sub[u] >= 0]) for v in keep]
+    )
+    sub = ParityGame._canonical(
+        tuple([game.owner[v] for v in keep]),
+        tuple([game.priority[v] for v in keep]),
+        tuple(succ),
+        pred,
     )
     return sub, SubgameMap(to_orig=tuple(keep))
 
@@ -202,8 +226,9 @@ def swap_roles(game: ParityGame) -> ParityGame:
     The shift flips the winning condition, so winners of the swapped game
     are exactly the winners of the original with the players exchanged.
     """
-    return ParityGame(
-        [1 - o for o in game.owner],
-        [p + 1 for p in game.priority],
+    return ParityGame._canonical(
+        tuple([1 - o for o in game.owner]),
+        tuple([p + 1 for p in game.priority]),
         game.succ,
+        game.pred,
     )

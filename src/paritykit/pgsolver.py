@@ -12,51 +12,73 @@ import re
 from .errors import ParseError
 from .game import ParityGame
 
+# The successor group is greedy, so a match does not retry the rest of the
+# pattern after each of its characters. It accepts the same lines as a lazy
+# group; the whitespace it takes before the name or ';' splits away.
 _NODE_RE = re.compile(
-    r"^(\d+)\s+(\d+)\s+([01])\s+([0-9,\s]+?)\s*(?:\"([^\"]*)\")?\s*;$"
+    r"^(\d+)\s+(\d+)\s+([01])\s+([0-9,\s]+)(?:\"([^\"]*)\")?\s*;$"
 )
+_HEADER_RE = re.compile(r"parity\s+\d+\s*;")
+_DIGIT = re.compile(r"[0-9]")
 
 
 def loads(text: str):
     """Parse PGSolver text; returns (game, ids) where ids[dense] = file id."""
+    # Node id -> index into the per-record lists, which hold strings and
+    # ints only: a large file then creates few objects that the cyclic
+    # garbage collector has to track.
     records = {}
-    lines = text.splitlines()
+    prios, owners, succ_texts, linenos = [], [], [], []
     start = 0
-    for lineno, raw in enumerate(lines, start=1):
+    match_node = _NODE_RE.match
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("parity"):
             if records:
                 raise ParseError("header after node lines", lineno)
-            if not re.fullmatch(r"parity\s+\d+\s*;", line):
+            if not _HEADER_RE.fullmatch(line):
                 raise ParseError("malformed header", lineno)
             start = lineno
             continue
-        m = _NODE_RE.match(line)
-        if not m:
+        m = match_node(line)
+        if m is None:
             raise ParseError(f"malformed node line {line!r}", lineno)
-        node = int(m.group(1))
+        node_s, prio_s, owner_s, succ_s, _name = m.groups()
+        node = int(node_s)
         if node in records:
             raise ParseError(f"duplicate node id {node}", lineno)
-        succs = [int(s) for s in m.group(4).replace(",", " ").split()]
-        if not succs:
+        if _DIGIT.search(succ_s) is None:
             raise ParseError(f"node {node} has no successors", lineno)
-        records[node] = (int(m.group(2)), int(m.group(3)), succs)
+        records[node] = len(linenos)
+        prios.append(prio_s)
+        owners.append(owner_s)
+        succ_texts.append(succ_s)
+        linenos.append(lineno)
     if not records:
         raise ParseError("no node lines found", start or 1)
     ids = sorted(records)
+    order = [records[v] for v in ids]
     dense = {v: i for i, v in enumerate(ids)}
-    owners, priorities, edges = [], [], []
-    for v in ids:
-        prio, owner, succs = records[v]
-        for w in succs:
-            if w not in dense:
-                raise ParseError(f"node {v} points to undefined node {w}")
-        owners.append(owner)
-        priorities.append(prio)
-        edges.append([dense[w] for w in succs])
-    return ParityGame(owners, priorities, edges), tuple(ids)
+    to_dense = dense.__getitem__
+    succ = []
+    for v, r in zip(ids, order):
+        succs = succ_texts[r].replace(",", " ").split()
+        try:
+            # `dense` is monotone, so one sort of the remapped set is canonical.
+            succ.append(tuple(sorted(set(map(to_dense, map(int, succs))))))
+        except KeyError:
+            w = next(w for w in map(int, succs) if w not in dense)
+            raise ParseError(
+                f"node {v} points to undefined node {w}", linenos[r]
+            ) from None
+    game = ParityGame._canonical(
+        tuple([int(owners[r]) for r in order]),
+        tuple([int(prios[r]) for r in order]),
+        tuple(succ),
+    )
+    return game, tuple(ids)
 
 
 def dumps(game: ParityGame, ids=None) -> str:
@@ -71,7 +93,7 @@ def dumps(game: ParityGame, ids=None) -> str:
 
 
 def read_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return loads(fh.read())
 
 

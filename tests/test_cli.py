@@ -128,6 +128,22 @@ def test_dangling_edge_exit_code(capsys, tmp_path):
     assert "undefined node" in err
 
 
+def test_undefined_successor_reports_its_line(capsys, tmp_path):
+    bad = tmp_path / "dangling.gm"
+    bad.write_text("parity 9;\n1 0 0 5;\n\n0 0 0 1,9,7;\n5 1 1 0;\n")
+    code, _, err = run(capsys, "solve", str(bad))
+    assert code == 2
+    assert "node 0 points to undefined node 9" in err and "line 4" in err
+
+
+def test_solve_accepts_a_utf8_byte_order_mark(capsys, tmp_path):
+    path = tmp_path / "bom.gm"
+    path.write_bytes("parity 1;\n0 2 0 1;\n1 1 1 0;\n".encode("utf-8-sig"))
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 0 and err == ""
+    assert out.splitlines()[:2] == ["W0: 0 1", "W1: "]
+
+
 def test_verify_rejects_tampered_result(capsys, tmp_path):
     g = generate("general", 8, 5, 5)  # seed with both regions nonempty
     path = write_game(tmp_path, g)

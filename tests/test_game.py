@@ -1,14 +1,20 @@
 """Core graph representation, validation, stats, and sub-game mapping."""
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from paritykit import (
+    FAMILIES,
     ParityGame,
     Player,
     PreconditionViolated,
+    attractor,
+    generate,
     is_bipartite,
     p1_value,
     p_value,
+    pgsolver,
     solve_brute,
     stats,
     subgame,
@@ -163,3 +169,87 @@ def test_subgame_partition_roundtrip_on_seeded_games():
                 continue
             sub, smap = subgame(g, set(g.nodes()) - region)
             assert smap.set_to_orig(sub.nodes()) == region
+
+
+def _rebuilt(game):
+    """The same game built through `ParityGame.__init__` and its checks."""
+    return ParityGame(game.owner, game.priority, game.succ)
+
+
+def _sparse_text(game, rng):
+    """PGSolver text of `game` with sparse ids, shuffled lines and shuffled,
+    repeated successors."""
+    ids = sorted(rng.sample(range(10 * game.n), game.n))
+    lines = []
+    for v in game.nodes():
+        succs = [ids[w] for w in game.succ[v]]
+        succs += rng.sample(succs, rng.randrange(len(succs) + 1))
+        rng.shuffle(succs)
+        lines.append(f"{ids[v]} {game.priority[v]} {game.owner[v]} "
+                     f"{','.join(map(str, succs))};")
+    rng.shuffle(lines)
+    return "\n".join([f"parity {ids[-1]};", *lines]) + "\n", tuple(ids)
+
+
+def _family_corpus():
+    for family in FAMILIES:
+        for n in (2, 3, 5, 12, 30):
+            for seed in range(4):
+                kwargs = {"j": 2} if family == "bounded_outdegree" else {}
+                if family == "unbalanced":
+                    kwargs = {"k": seed % (n + 1)}
+                yield generate(family, n, 6, seed, **kwargs)
+
+
+def test_fast_constructions_equal_the_checked_constructor():
+    # loads, subgame and swap_roles skip __init__'s sorting and checks;
+    # every slot, pred included, must still be what __init__ would build.
+    def assert_canonical(game):
+        expected = _rebuilt(game)
+        assert (game.owner, game.priority, game.succ, game.pred) == (
+            expected.owner,
+            expected.priority,
+            expected.succ,
+            expected.pred,
+        )
+        assert validate(game).ok
+
+    rng = random.Random(8)
+    subgames = 0
+    for game in _family_corpus():
+        text, ids = _sparse_text(game, rng)
+        parsed, parsed_ids = pgsolver.loads(text)
+        assert parsed == game and parsed_ids == ids
+        assert_canonical(parsed)
+        assert_canonical(swap_roles(game))
+        for _ in range(3):
+            seed_nodes = rng.sample(range(game.n), rng.randrange(1, game.n // 3 + 2))
+            removed = attractor(game, seed_nodes, rng.randrange(2)).set
+            if len(removed) == game.n:
+                continue
+            sub, smap = subgame(game, removed)
+            assert_canonical(sub)
+            assert sub == ParityGame(
+                [game.owner[v] for v in smap.to_orig],
+                [game.priority[v] for v in smap.to_orig],
+                [
+                    [smap.to_orig.index(w) for w in game.succ[v] if w not in removed]
+                    for v in smap.to_orig
+                ],
+            )
+            subgames += 1
+    assert subgames > 100
+
+
+def test_subgame_and_swap_roles_do_not_go_through_init(monkeypatch):
+    g = ParityGame([0, 1, 0, 1], [0, 1, 2, 3], [[1], [2, 3], [2], [0, 3]])
+
+    def refuse(self, *args):
+        raise AssertionError("ParityGame.__init__ called")
+
+    monkeypatch.setattr(ParityGame, "__init__", refuse)
+    sub, smap = subgame(g, {0, 1})
+    assert sub.succ == ((0,), (1,)) and sub.pred == ((0,), (1,))
+    assert smap.to_orig == (2, 3)
+    swapped = swap_roles(g)
+    assert swapped.owner == (1, 0, 1, 0) and swapped.pred == g.pred

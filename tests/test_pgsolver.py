@@ -64,3 +64,75 @@ def test_roundtrip_preserves_custom_ids(tmp_path):
     text = pgsolver.dumps(g, ids=(5, 9))
     parsed, ids = pgsolver.loads(text)
     assert parsed == g and ids == (5, 9)
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("0 0 0 0;\nparity 1;\n", "header after node lines", 2),
+        ("parity;\n0 0 0 0;\n", "malformed header", 1),
+        ("parity 1 2;\n0 0 0 0;\n", "malformed header", 1),
+        (
+            "parity 1;\n0 0 0 1;\nnot a node line\n",
+            "malformed node line 'not a node line'",
+            3,
+        ),
+        ("0 0 0 ;\n", "malformed node line '0 0 0 ;'", 1),
+        ("0 0 2 0;\n", "malformed node line '0 0 2 0;'", 1),
+        ('0 0 0 0 "a" "b";\n', "malformed node line '0 0 0 0 \"a\" \"b\";'", 1),
+        ("parity 1;\n0 0 0 0;\n\n0 1 1 0;\n", "duplicate node id 0", 4),
+        ("0 0 0 ,;\n", "node 0 has no successors", 1),
+        ("0 0 0  ;\n", "node 0 has no successors", 1),
+        ("", "no node lines found", 1),
+        (" \n\t\n", "no node lines found", 1),
+        ("\n\nparity 3;\n\n", "no node lines found", 3),
+    ],
+)
+def test_parse_error_messages_and_lines(text, message, line):
+    with pytest.raises(ParseError) as exc:
+        pgsolver.loads(text)
+    assert str(exc.value) == f"line {line}: {message}"
+    assert exc.value.line == line
+
+
+def test_messy_text_loads_to_the_canonical_game():
+    text = (
+        "  parity   40 ;  \n"
+        "\n"
+        '40 3 1   7 ,40,7,  20 "last node" ;\n'
+        "7\t2  0 40,20 , 20;\n"
+        '20 0 1 20 "a;b";\n'
+    )
+    game, ids = pgsolver.loads(text)
+    assert ids == (7, 20, 40)
+    expected = ParityGame([0, 1, 1], [2, 0, 3], [[1, 2], [1], [0, 1, 2]])
+    assert (game.owner, game.priority, game.succ, game.pred) == (
+        expected.owner,
+        expected.priority,
+        expected.succ,
+        expected.pred,
+    )
+    assert game.pred == ((2,), (0, 1, 2), (0, 2))
+
+
+def test_undefined_successor_error_carries_its_line():
+    # The first undefined successor in file order is named, not the least.
+    with pytest.raises(ParseError) as exc:
+        pgsolver.loads("0 0 0 1,9;\n1 0 0 5;\n")
+    assert str(exc.value) == "line 1: node 0 points to undefined node 9"
+    assert exc.value.line == 1
+    with pytest.raises(ParseError) as exc:
+        pgsolver.loads("parity 5;\n5 0 0 5;\n\n2 1 1 5,8,3,2;\n")
+    assert str(exc.value) == "line 4: node 2 points to undefined node 8"
+    assert exc.value.line == 4
+
+
+def test_read_file_skips_a_byte_order_mark(tmp_path):
+    text = "parity 1;\n0 2 0 1;\n1 1 1 0;\n"
+    path = tmp_path / "bom.gm"
+    path.write_bytes(text.encode("utf-8-sig"))
+    assert pgsolver.read_file(path) == pgsolver.loads(text)
+    # loads itself takes text, and a BOM left in it is not a header.
+    with pytest.raises(ParseError) as exc:
+        pgsolver.loads("\ufeff" + text)
+    assert exc.value.line == 1
