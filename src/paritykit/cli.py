@@ -73,8 +73,7 @@ def _load(path):
     try:
         return pgsolver.read_file(path)
     except ParseError as exc:
-        where = f" (line {exc.line})" if exc.line is not None else ""
-        print(f"parse error: {exc}{where}", file=sys.stderr)
+        print(f"parse error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
     except OSError as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)

@@ -3,8 +3,9 @@
 new_win1 parameterizes by the number of odd nodes and kernelizes at
 every level; new_win2 by an out-degree threshold j. Each level of both
 brute-forces a small base, else removes a dominion a cheap search found,
-else falls back to old_win1/old_win2, the classic two-call recursion
-with new_win underneath. Results along these paths are partition-only.
+else falls back to old_win1/old_win2, Zielonka's peel with new_win
+underneath. A result carries both players' strategies when every part
+it is built from does; a result lifted through a kernel carries none.
 
 Each top-level solve runs in one SolveContext, which holds its counters
 and new_win1's memo of the sub-games it has already solved.
@@ -17,12 +18,13 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .errors import ParityKitError
-from .game import ParityGame, stats, subgame, swap_roles
+from .game import ParityGame, stats, swap_roles
 from .kernel import kernelize_auto, lift_solution
 from .oracle import SolveResult, empty_result, solve_brute
 from .reach import attractor
 from .dominion import DegreeBudget, find_dominion_by_degree, find_dominion_by_odd_nodes
 from .util import ceil_sqrt
+from .zielonka import _peel, _remove_dominion
 from . import zielonka
 
 
@@ -31,7 +33,7 @@ class SolveContext:
 
     `depth`/`max_depth` count dominion-step levels, `dominion_hits` the
     dominions removed, and `memo_hits` the new_win1 calls answered from
-    `memo`, which maps (game, cfg) to the partition already computed.
+    `memo`, which maps (game, cfg) to the result already computed.
     """
 
     __slots__ = ("depth", "max_depth", "dominion_hits", "memo_hits", "memo")
@@ -110,11 +112,6 @@ def _degree_budget(n: int, s_j: int, j: int) -> DegreeBudget:
     return DegreeBudget(ell=ell, s=s, j=j)
 
 
-def _partition(game: ParityGame, w0) -> SolveResult:
-    w0 = frozenset(w0)
-    return SolveResult(w0, frozenset(game.nodes()) - w0)
-
-
 def new_win1(game: ParityGame, cfg: FptConfig | None = None) -> SolveResult:
     """Exact partition via odd-node-count parameterization.
 
@@ -151,9 +148,9 @@ def _solve_by_odd_nodes(ctx: SolveContext, game: ParityGame, cfg: FptConfig) -> 
 
 
 def old_win1(game: ParityGame, cfg: FptConfig | None = None) -> SolveResult:
-    """The two-call recursion with new_win1 underneath."""
+    """Zielonka's peel with new_win1 underneath."""
     cfg = cfg or FptConfig()
-    return _two_call_recursion(game, lambda sub: new_win1(sub, cfg))
+    return _peel(game, lambda sub: new_win1(sub, cfg))
 
 
 def _dominion_step(ctx: SolveContext, game: ParityGame, cfg, small, search, recurse,
@@ -167,54 +164,15 @@ def _dominion_step(ctx: SolveContext, game: ParityGame, cfg, small, search, recu
         if game.n == 0:
             return empty_result()
         if small:
-            return _partition(game, solve_brute(game, cfg.brute_budget).w0)
+            return solve_brute(game, cfg.brute_budget)
         dom = search()
         if dom is None:
             return fallback()
         ctx.dominion_hits += 1
-        return _remove_dominion(game, dom, recurse)
+        att = attractor(game, dom.set, dom.owner)
+        return _remove_dominion(game, att, dom.owner, dom.witness.choice, recurse)
     finally:
         ctx.depth -= 1
-
-
-def _shrunk_subgame(game: ParityGame, removed):
-    """subgame(game, removed), refusing a sub-game that is not smaller:
-    the recursions terminate only because each call shrinks the game."""
-    sub, smap = subgame(game, removed)
-    if sub.n >= game.n:
-        raise ParityKitError(f"sub-game did not shrink below {game.n} nodes")
-    return sub, smap
-
-
-def _remove_dominion(game: ParityGame, dom, recurse) -> SolveResult:
-    """Give the dominion's owner its attractor, solve the rest with
-    `recurse`, and give the owner everything the opponent does not win
-    there."""
-    removed = attractor(game, dom.set, dom.owner).set
-    sub, smap = _shrunk_subgame(game, removed)
-    res = recurse(sub)
-    w_opp = smap.set_to_orig(res.winners(1 - dom.owner))
-    w_own = frozenset(game.nodes()) - w_opp
-    return _partition(game, w_own if dom.owner == 0 else w_opp)
-
-
-def _two_call_recursion(game: ParityGame, recurse) -> SolveResult:
-    if game.n == 0:
-        return empty_result()
-    p_max = max(game.priority)
-    i = p_max % 2
-    top = [v for v in game.nodes() if game.priority[v] == p_max]
-    removed = attractor(game, top, i).set
-    sub1, map1 = _shrunk_subgame(game, removed)
-    res1 = recurse(sub1)
-    w_opp = map1.set_to_orig(res1.winners(1 - i))
-    if not w_opp:
-        return _partition(game, frozenset(game.nodes()) if i == 0 else frozenset())
-    removed2 = attractor(game, w_opp, 1 - i).set
-    sub2, map2 = _shrunk_subgame(game, removed2)
-    res2 = recurse(sub2)
-    w_i = map2.set_to_orig(res2.winners(i))
-    return _partition(game, w_i if i == 0 else frozenset(game.nodes()) - w_i)
 
 
 def choose_j(game: ParityGame):
@@ -265,8 +223,9 @@ def new_win2(game: ParityGame, j: int, cfg: FptConfig | None = None) -> SolveRes
 
 
 def old_win2(game: ParityGame, j: int, cfg: FptConfig | None = None) -> SolveResult:
+    """Zielonka's peel with new_win2 underneath."""
     cfg = cfg or FptConfig()
-    return _two_call_recursion(game, lambda sub: new_win2(sub, j, cfg))
+    return _peel(game, lambda sub: new_win2(sub, j, cfg))
 
 
 def solve(game: ParityGame, algorithm: str, cfg: FptConfig | None = None) -> SolveResult:

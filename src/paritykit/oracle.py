@@ -47,6 +47,21 @@ def empty_result() -> SolveResult:
     return SolveResult(frozenset(), frozenset(), Strategy(0), Strategy(1))
 
 
+def _won_by(game: ParityGame, player: int, region, mine, theirs) -> SolveResult:
+    """The result in which `player` wins `region` with the choices `mine`
+    and the opponent wins the other nodes with `theirs`; it carries
+    strategies only when both choice maps are given."""
+    won = frozenset(region)
+    lost = frozenset(game.nodes()) - won
+    if mine is None or theirs is None:
+        ours = other = None
+    else:
+        ours, other = Strategy(player, mine), Strategy(1 - player, theirs)
+    if player == 0:
+        return SolveResult(won, lost, ours, other)
+    return SolveResult(lost, won, other, ours)
+
+
 def solve_solitary(game: ParityGame, mover: int) -> SolveResult:
     """Solve a game in which only `mover` has choices.
 
@@ -88,14 +103,10 @@ def solve_solitary(game: ParityGame, mover: int) -> SolveResult:
     att = attractor(game, winning, mover)
     strategy.update(att.strategy)
     w_mover = att.set
-    w_opp = frozenset(v for v in game.nodes() if v not in w_mover)
-    opp_strategy = Strategy(
-        opp, {v: game.succ[v][0] for v in w_opp if game.owner[v] == opp}
-    )
-    mover_strategy = Strategy(mover, strategy)
-    if mover == 0:
-        return SolveResult(w_mover, w_opp, mover_strategy, opp_strategy)
-    return SolveResult(w_opp, w_mover, opp_strategy, mover_strategy)
+    opp_choice = {
+        v: game.succ[v][0] for v in game.nodes() if game.owner[v] == opp and v not in w_mover
+    }
+    return _won_by(game, mover, w_mover, strategy, opp_choice)
 
 
 def _strategy_space(game: ParityGame, player: int):
@@ -150,22 +161,17 @@ def solve_brute(game: ParityGame, budget: int = 10**6, enum_player=None) -> Solv
     if best_size != len(won_total):
         raise ParityKitError("positional determinacy violated: no uniform winning strategy")
 
-    w_enum = frozenset(won_total)
-    w_opp = frozenset(all_nodes) - w_enum
-    enum_strategy = Strategy(
-        enum_player, {v: uniform[v] for v in uniform if v in w_enum}
-    )
-    opp_strategy = Strategy(opp)
+    w_opp = all_nodes - won_total
+    opp_choice = {}
     if w_opp:
         # The loser's region is closed for the opponent, who wins all of
         # it; synthesize the witness on the induced sub-game. Enumerating
         # the opponent here could explode, so use the recursive solver.
         from .zielonka import win as _zielonka_win
 
-        opp_strategy = _witness_on(game, w_opp, opp, _zielonka_win)
-    if enum_player == 0:
-        return SolveResult(w_enum, w_opp, enum_strategy, opp_strategy)
-    return SolveResult(w_opp, w_enum, opp_strategy, enum_strategy)
+        opp_choice = _witness_on(game, w_opp, opp, _zielonka_win).choice
+    enum_choice = {v: uniform[v] for v in uniform if v in won_total}
+    return _won_by(game, enum_player, won_total, enum_choice, opp_choice)
 
 
 def _witness_on(game: ParityGame, region, player: int, solver) -> Strategy:

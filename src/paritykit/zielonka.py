@@ -1,14 +1,17 @@
 """Recursive attractor-based solver with strategy synthesis.
 
-Classic two-recursive-call scheme: peel the attractor of the maximum
-priority, solve the rest, and either absorb the whole game for the
-dominant player or remove the opponent's counter-attractor and recurse.
-Runs in O(n^p) worst case but is fast on typical inputs.
+Zielonka's recursion: peel the attractor of the maximum priority, solve
+the rest, and either give the whole game to the dominant player or
+remove the opponent's part, a dominion, with its attractor and solve
+what is left. The fpt solvers run the same peel and dominion removal
+with their own solver for the sub-games. Runs in O(n^p) worst case but
+is fast on typical inputs.
 """
 from __future__ import annotations
 
+from .errors import ParityKitError
 from .game import ParityGame, subgame
-from .oracle import SolveResult, Strategy, empty_result
+from .oracle import SolveResult, _won_by, empty_result
 from .reach import attractor
 
 
@@ -18,6 +21,31 @@ def win(game: ParityGame) -> SolveResult:
     Each synthesized strategy only ever moves inside its own winning
     region, so the result passes partition certification directly.
     """
+    return _peel(game, win)
+
+
+def _shrunk_subgame(game: ParityGame, removed):
+    """subgame(game, removed), refusing a sub-game that is not smaller:
+    the recursions terminate only because each call shrinks the game."""
+    sub, smap = subgame(game, removed)
+    if sub.n >= game.n:
+        raise ParityKitError(f"sub-game did not shrink below {game.n} nodes")
+    return sub, smap
+
+
+def _choices(smap, res: SolveResult, player: int):
+    """`player`'s choices in the sub-game result `res`, in the parent's
+    ids; None when `res` carries no strategies."""
+    strat = res.strategy(player)
+    return None if strat is None else smap.map_to_orig(strat.choice)
+
+
+def _peel(game: ParityGame, recurse) -> SolveResult:
+    """Peel the top priority's attractor and solve the rest with `recurse`.
+
+    The result carries strategies when every sub-result it is built from
+    does, and none otherwise.
+    """
     if game.n == 0:
         return empty_result()
     p_max = max(game.priority)
@@ -25,32 +53,35 @@ def win(game: ParityGame) -> SolveResult:
     opp = 1 - i
     top = [v for v in game.nodes() if game.priority[v] == p_max]
     att = attractor(game, top, i)
-    sub1, map1 = subgame(game, att.set)
-    res1 = win(sub1)
-    w1_opp = map1.set_to_orig(res1.winners(opp))
-
-    strat_i, strat_opp = {}, {}
-    if not w1_opp:
-        # The dominant player wins everywhere: follow the sub-solution
-        # outside the attractor, attract toward the top priority inside
-        # it, and move anywhere from the top nodes themselves.
-        strat_i.update(map1.map_to_orig(res1.strategy(i).choice))
-        strat_i.update(att.strategy)
+    sub, smap = _shrunk_subgame(game, att.set)
+    res = recurse(sub)
+    w_opp = smap.set_to_orig(res.winners(opp))
+    if w_opp:
+        # The sub-game is a trap for i, so the opponent's part of it is an
+        # opponent dominion of the whole game.
+        return _remove_dominion(
+            game, attractor(game, w_opp, opp), opp, _choices(smap, res, opp), recurse
+        )
+    # The dominant player wins everywhere: follow the sub-solution outside
+    # the attractor, attract toward the top priority inside it, and move
+    # anywhere from the top nodes themselves.
+    mine = _choices(smap, res, i)
+    if mine is not None:
+        mine.update(att.strategy)
         for v in top:
             if game.owner[v] == i:
-                strat_i[v] = game.succ[v][0]
-        w_i = frozenset(game.nodes())
-    else:
-        # The opponent holds a piece; everything it attracts is lost for i.
-        batt = attractor(game, w1_opp, opp)
-        strat_opp.update(map1.map_to_orig(res1.strategy(opp).choice))
-        strat_opp.update(batt.strategy)
-        sub2, map2 = subgame(game, batt.set)
-        res2 = win(sub2)
-        w_i = map2.set_to_orig(res2.winners(i))
-        strat_i.update(map2.map_to_orig(res2.strategy(i).choice))
-        strat_opp.update(map2.map_to_orig(res2.strategy(opp).choice))
-    ours = (w_i, Strategy(i, strat_i))
-    theirs = (frozenset(game.nodes()) - w_i, Strategy(opp, strat_opp))
-    (w0, s0), (w1, s1) = (ours, theirs) if i == 0 else (theirs, ours)
-    return SolveResult(w0, w1, s0, s1)
+                mine[v] = game.succ[v][0]
+    return _won_by(game, i, game.nodes(), mine, {})
+
+
+def _remove_dominion(game: ParityGame, att, owner: int, witness, recurse) -> SolveResult:
+    """Give `owner` the attractor `att` of one of its dominions, won on the
+    dominion with the choices `witness` (None when unknown), solve the
+    rest with `recurse`, and give the owner everything the opponent does
+    not win there."""
+    sub, smap = _shrunk_subgame(game, att.set)
+    res = recurse(sub)
+    opp = 1 - owner
+    mine = _choices(smap, res, owner)
+    mine = None if mine is None or witness is None else {**witness, **att.strategy, **mine}
+    return _won_by(game, opp, smap.set_to_orig(res.winners(opp)), _choices(smap, res, opp), mine)

@@ -136,6 +136,22 @@ def test_undefined_successor_reports_its_line(capsys, tmp_path):
     assert "node 0 points to undefined node 9" in err and "line 4" in err
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("parity 1;\nnot a game\n", "parse error: line 2: malformed node line 'not a game'\n"),
+        ("parity 9;\n1 0 0 5;\n\n0 0 0 1,9,7;\n5 1 1 0;\n",
+         "parse error: line 4: node 0 points to undefined node 9\n"),
+    ],
+    ids=("malformed", "undefined-successor"),
+)
+def test_parse_errors_print_their_line_once(capsys, tmp_path, text, expected):
+    bad = tmp_path / "bad.gm"
+    bad.write_text(text)
+    code, out, err = run(capsys, "solve", str(bad))
+    assert (code, out, err) == (2, "", expected)
+
+
 def test_solve_accepts_a_utf8_byte_order_mark(capsys, tmp_path):
     path = tmp_path / "bom.gm"
     path.write_bytes("parity 1;\n0 2 0 1;\n1 1 1 0;\n".encode("utf-8-sig"))

@@ -21,9 +21,10 @@ from paritykit import (
     solve,
     solve_brute,
     solve_context,
+    verify_partition,
     win,
 )
-from paritykit import fpt
+from paritykit import fpt, zielonka
 from paritykit.fpt import _degree_budget, _ell_from_k
 
 from conftest import scale, seeded_games
@@ -189,7 +190,7 @@ def _attract_nothing(game, target, player):
 
 
 def test_two_call_recursion_refuses_a_sub_game_that_does_not_shrink(monkeypatch):
-    monkeypatch.setattr(fpt, "attractor", _attract_nothing)
+    monkeypatch.setattr(zielonka, "attractor", _attract_nothing)
     g = ParityGame([0, 1], [2, 1], [[1], [0]])
     with pytest.raises(ParityKitError, match="did not shrink"):
         old_win2(g, 2)
@@ -326,3 +327,30 @@ def test_concurrent_solves_share_no_counters_or_memo():
     assert not any(t.is_alive() for t in threads)
     assert seen == [[e] * 3 for e in expected]
     assert fpt._current.get() is None
+
+
+@pytest.mark.parametrize(
+    "solver",
+    [
+        lambda g: new_win2(g, 2),
+        lambda g: new_win2(g, 3),
+        lambda g: old_win2(g, 2),
+        lambda g: new_win1(g, FptConfig(kernelize=False)),
+    ],
+    ids=("new_win2-j2", "new_win2-j3", "old_win2", "new_win1-no-kernel"),
+)
+def test_unkernelized_results_certify_on_the_seeded_corpora(solver):
+    for g in _fpt_corpus():
+        assert verify_partition(g, solver(g))
+
+
+def test_every_fpt_result_with_a_strategy_has_both_and_certifies():
+    with_strategies = 0
+    for g in _fpt_corpus():
+        for res in (new_win1(g), new_win1(g, FptConfig(base_case_k=2)), old_win1(g)):
+            if res.strategy0 is None and res.strategy1 is None:
+                continue
+            assert res.strategy0 is not None and res.strategy1 is not None
+            assert verify_partition(g, res)
+            with_strategies += 1
+    assert with_strategies > 0

@@ -206,9 +206,11 @@ def test_priority_rule_preserves_partition():
         assert brute_winner_map(apply_priority_rule(g)) == brute_winner_map(g)
 
 
+# The three rule tests below keep their full corpus in fast mode too: each
+# rule applies to few of these games, and a smaller corpus misses the floor.
 def test_indeg_rule_preserves_partition_on_survivors():
     checked = 0
-    for g in bipartite_corpus(scale(400, 60), seed=31):
+    for g in bipartite_corpus(400, seed=31):
         v = first_removable(g)
         if v is None:
             continue
@@ -223,7 +225,7 @@ def test_indeg_rule_preserves_partition_on_survivors():
 
 def test_outdeg_rule_preserves_partition():
     checked = 0
-    for g in bipartite_corpus(scale(400, 60), seed=37):
+    for g in bipartite_corpus(400, seed=37):
         for u, shared in outdeg_rule_candidates(g):
             reduced = apply_outdeg_rule_once(g, u, shared)
             if any(not ts for ts in reduced.succ):
@@ -236,7 +238,7 @@ def test_outdeg_rule_preserves_partition():
 
 def test_equal_rule_preserves_partition_on_survivors():
     checked = 0
-    for g in bipartite_corpus(scale(500, 80), seed=41, priority_bound=2):
+    for g in bipartite_corpus(500, seed=41, priority_bound=2):
         for kept, absorbed in equal_rule_candidates(g):
             reduced, ids = apply_equal_rule_once(g, kept, absorbed)
             before = brute_winner_map(g)

@@ -1,9 +1,11 @@
 """Recursive solver: agreement with brute force plus certified witnesses."""
 import random
+import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from paritykit import ParityGame, solve_brute, verify_partition, win
+from paritykit import ParityGame, generate, solve_brute, verify_partition, win
 
 from conftest import exhaustive_games, random_game, seeded_games
 
@@ -75,4 +77,36 @@ def test_deep_chain_recursion():
     # Everything funnels into the terminal self-loop of priority (n-1)%4.
     winner = (n - 1) % 4 % 2
     assert res.winners(winner) == frozenset(range(n))
+    assert verify_partition(g, res)
+
+
+@pytest.mark.parametrize(
+    "args, kw, w0, s0, s1",
+    [
+        (("general", 12, 6, 3), {}, {0, 3, 4, 5, 6, 9, 10},
+         {0: 4, 3: 0, 4: 10, 5: 6, 9: 6, 10: 10}, {1: 7, 2: 11, 8: 2, 11: 8}),
+        (("bipartite", 12, 6, 0), {}, {0, 1, 5, 6, 7, 8, 9, 11},
+         {1: 11, 5: 6, 8: 0, 9: 6}, {2: 3, 4: 3}),
+        (("bounded_outdegree", 12, 6, 3), {"j": 3}, {0, 1, 4, 6, 7, 10},
+         {1: 4, 4: 10, 6: 10, 7: 0, 10: 6}, {3: 8, 5: 11, 8: 11, 11: 2}),
+    ],
+    ids=("general", "bipartite", "bounded_outdegree"),
+)
+def test_strategies_are_pinned(args, kw, w0, s0, s1):
+    g = generate(*args, **kw)
+    res = win(g)
+    assert res.w0 == frozenset(w0)
+    assert res.w1 == frozenset(g.nodes()) - frozenset(w0)
+    assert (res.strategy0.owner, res.strategy0.choice) == (0, s0)
+    assert (res.strategy1.owner, res.strategy1.choice) == (1, s1)
+
+
+def test_long_peeling_path_under_the_default_recursion_limit():
+    # Each level peels one node: v has priority v and one move, to v - 1.
+    n = 400
+    edges = [[0]] + [[v - 1] for v in range(1, n)]
+    g = ParityGame([v % 2 for v in range(n)], list(range(n)), edges)
+    assert sys.getrecursionlimit() == 1000
+    res = win(g)
+    assert res.w0 == frozenset(range(n))
     assert verify_partition(g, res)
