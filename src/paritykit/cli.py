@@ -167,7 +167,11 @@ def cmd_kernelize(args) -> int:
     print(f"nodes: {game.n} -> {kernel.n}")
     verdict = "PASS" if kernel.n <= bound else "FAIL"
     print(f"bound: {bound} {verdict}")
-    if args.out:
+    if args.out and kernel.n == 0:
+        # A game file needs at least one node; the trace alone decides
+        # every node, so there is no kernel file to write.
+        print(f"kernel is empty: {args.out} not written", file=sys.stderr)
+    elif args.out:
         pgsolver.write_file(args.out, kernel)
     if args.trace_out:
         Path(args.trace_out).write_text(

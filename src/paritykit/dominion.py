@@ -84,6 +84,7 @@ def _grow_candidates(game: ParityGame, player: int, start: int, budget: DegreeBu
                     h2 = high + (deg[w] > j)
                     l2 = low + (deg[w] <= j)
                     if h2 > ell or l2 > s:
+                        del choice[u]
                         continue
                     yield from rec(members | {w}, rest | {w}, h2, l2, choice)
                 del choice[u]

@@ -101,12 +101,39 @@ def trace_lines(trace: ReductionTrace):
 class _Work:
     """Mutable graph with stable ids; original ids are 0..n-1."""
 
-    def __init__(self, game: ParityGame):
-        self.owner = {v: game.owner[v] for v in game.nodes()}
-        self.prio = {v: game.priority[v] for v in game.nodes()}
-        self.succ = {v: set(game.succ[v]) for v in game.nodes()}
-        self.pred = {v: set(game.pred[v]) for v in game.nodes()}
+    def __init__(self, game: ParityGame, dead=frozenset(), relays=None):
+        """A copy of `game` without the nodes in `dead`.
+
+        `relays` is the general pipeline's registry after its step (1):
+        (priority, odd target) -> the Even node whose only move is that
+        target, where ids from `game.n` up are new nodes. Each new node is
+        built here when its target lives, and every Odd node's move into
+        another Odd node goes through the relay of the target's priority.
+        """
+        owner, prio = game.owner, game.priority
+        keep = [v for v in game.nodes() if v not in dead]
+        self.owner = {v: owner[v] for v in keep}
+        self.prio = {v: prio[v] for v in keep}
+        # Plain `set` when nothing is dropped: the bipartite pipeline and
+        # small general games copy whole games many times over.
+        live = (lambda ts: set(ts).difference(dead)) if dead else set
+        self.succ = {v: live(game.succ[v]) for v in keep}
+        self.pred = {v: live(game.pred[v]) for v in keep}
         self.next_id = game.n
+        if not relays:
+            return
+        for (p, w), t in relays.items():
+            if t >= game.n:
+                self.next_id += 1
+                if w not in dead:
+                    self.owner[t], self.prio[t] = 0, p
+                    self.succ[t], self.pred[t] = {w}, set()
+                    self.pred[w].add(t)
+        for v in keep:
+            if owner[v] == 1:
+                for w in [w for w in self.succ[v] if owner[w] == 1]:
+                    self.remove_edge(v, w)
+                    self.add_edge(v, relays[prio[w], w])
 
     def nodes(self):
         return sorted(self.owner)
@@ -177,17 +204,44 @@ def kernelize_general(game: ParityGame):
     n1 = sum(game.owner)
     if n1 > game.n - n1:
         raise NotSmallerSide(f"odd side has {n1} of {game.n} nodes")
-    work = _Work(game)
+    owner, priority = game.owner, game.priority
     events = []
     # Relay registry: (priority, odd-target) -> node with that priority
     # whose only move is the target. Pre-registering existing such nodes
     # makes the whole pipeline a fixpoint on its own output.
     relays = {}
-    for v in work.nodes():
-        if work.owner[v] == 0 and len(work.succ[v]) == 1:
-            (w,) = work.succ[v]
-            if work.owner[w] == 1:
-                relays.setdefault((work.prio[v], w), v)
+    for v in game.nodes():
+        if owner[v] == 0 and len(game.succ[v]) == 1:
+            (w,) = game.succ[v]
+            if owner[w] == 1:
+                relays.setdefault((priority[v], w), v)
+    next_id = game.n
+
+    # (1) no edges inside the odd side: each one becomes a relay hop
+    # carrying the target's priority. Only the new relays' ids are
+    # assigned here; `_Work` reroutes the Odd nodes' moves through them.
+    for v in game.nodes_of(1):
+        for w in game.succ[v]:
+            if owner[w] == 1 and (priority[w], w) not in relays:
+                relays[priority[w], w] = next_id
+                events.append(SyntheticAdded(next_id, "edge-split"))
+                next_id += 1
+
+    # (2) cycles inside the even side with even maximum priority are won
+    # by Even outright; remove everything she can steer into them. Step
+    # (1) changed no Even node's moves, a relay lies on no Even-internal
+    # cycle, and a relay is attracted exactly when its target is, so this
+    # runs on the game itself and only the survivors are copied.
+    on_even_cycle = set()
+    for scc, _ in _parity_cycles(game.nodes_of(0), priority, game.succ.__getitem__, 0):
+        on_even_cycle.update(scc)
+    dead = set()
+    if on_even_cycle:
+        dead = set(attractor(game, on_even_cycle, 0).set)
+        dead.update(t for (_, w), t in relays.items() if t >= game.n and w in dead)
+        events.append(DominionRemoved(tuple(sorted(dead)), 0))
+    work = _Work(game, dead, relays)
+    relays = {k: v for k, v in relays.items() if v not in dead}
 
     def get_relay(prio, target, kind):
         key = (prio, target)
@@ -197,26 +251,6 @@ def kernelize_general(game: ParityGame):
             relays[key] = t
             events.append(SyntheticAdded(t, kind))
         return relays[key]
-
-    # (1) no edges inside the odd side: replace each one by a relay hop
-    # carrying the target's priority.
-    for v in work.side(1):
-        for w in sorted(work.succ[v]):
-            if work.owner.get(w) == 1:
-                t = get_relay(work.prio[w], w, "edge-split")
-                work.remove_edge(v, w)
-                work.add_edge(v, t)
-
-    # (2) cycles inside the even side with even maximum priority are won
-    # by Even outright; remove everything she can steer into them.
-    on_even_cycle = set()
-    for scc, _ in _parity_cycles(work.side(0), work.prio, lambda v: work.succ[v], 0):
-        on_even_cycle.update(scc)
-    if on_even_cycle:
-        dead = attractor(work, on_even_cycle, 0).set
-        events.append(DominionRemoved(tuple(sorted(dead)), 0))
-        work.remove_nodes(dead)
-        relays = {k: v for k, v in relays.items() if v not in dead}
 
     # (3) even nodes that cannot reach the odd side are trapped in
     # odd-max cycles and lost; remove everything Odd can steer there.

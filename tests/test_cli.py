@@ -251,6 +251,23 @@ def test_kernelize_reports_bound_and_writes_outputs(capsys, tmp_path):
     assert trace_path.read_text().strip()
 
 
+def test_kernelize_writes_no_game_file_for_an_empty_kernel(capsys, tmp_path):
+    # Node 0's Even-won self-loop attracts node 1, so nothing is left; a
+    # file holding only the header would not load back.
+    path = write_game(tmp_path, ParityGame([0, 1], [0, 1], [[0], [0]]))
+    out_path = tmp_path / "kernel.gm"
+    trace_path = tmp_path / "trace.txt"
+    code, out, err = run(
+        capsys, "kernelize", path,
+        "--out", str(out_path), "--trace-out", str(trace_path),
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "nodes: 2 -> 0"
+    assert err == f"kernel is empty: {out_path} not written\n"
+    assert not out_path.exists()
+    assert trace_path.read_text() == "DOM 0 0 1\n"
+
+
 def test_kernelize_bipartite_mode_rejects_general_games(capsys, tmp_path):
     path = write_game(tmp_path, ParityGame([0, 0], [0, 0], [[1], [0]]))
     code, _, err = run(capsys, "kernelize", path, "--mode", "bipartite")

@@ -354,3 +354,47 @@ def test_every_fpt_result_with_a_strategy_has_both_and_certifies():
             assert verify_partition(g, res)
             with_strategies += 1
     assert with_strategies > 0
+
+
+def _degree_mid_corpus():
+    """The 60 game structures of the benchmark's fpt_degree_mid workload."""
+    for family, n, kw in (
+        ("bounded_outdegree", 60, {"j": 3}),
+        ("general", 60, {}),
+        ("bipartite", 48, {}),
+    ):
+        for seed in range(20):
+            yield generate(family, n, 8, seed, **kw)
+
+
+def test_degree_search_keys_every_strategy_inside_its_region(monkeypatch):
+    # A successor that overflowed the degree budget once left its node's
+    # choice behind in the search's shared map, and later candidates and
+    # results carried it.
+    dominions, results = [], []
+    real_search, real_new_win2 = fpt.find_dominion_by_degree, fpt.new_win2
+
+    def recorded_search(game, budget):
+        dom = real_search(game, budget)
+        if dom is not None:
+            dominions.append(dom)
+        return dom
+
+    def recorded_new_win2(game, j, cfg=None):
+        res = real_new_win2(game, j, cfg)
+        results.append((game, res))
+        return res
+
+    monkeypatch.setattr(fpt, "find_dominion_by_degree", recorded_search)
+    monkeypatch.setattr(fpt, "new_win2", recorded_new_win2)
+    for g in _degree_mid_corpus():
+        solve(g, "fpt_degree")
+    assert len(dominions) > 10 and len(results) >= 60
+    for dom in dominions:
+        assert set(dom.witness.choice) <= dom.set
+    for game, res in results:
+        for player in (0, 1):
+            strat = res.strategy(player)
+            if strat is not None:
+                region = res.winners(player)
+                assert all(v in region and game.owner[v] == player for v in strat.choice)

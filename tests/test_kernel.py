@@ -1,14 +1,17 @@
 """Reduction pipelines: frozen examples, rule soundness, bounds, lifting."""
+import hashlib
 import random
 
 import pytest
 
 from paritykit import (
+    DominionRemoved,
     NotBipartite,
     NotSmallerSide,
     ParityGame,
     SolveResult,
     TraceMismatch,
+    generate,
     is_bipartite,
     kernelize_auto,
     kernelize_bipartite,
@@ -20,7 +23,7 @@ from paritykit import (
     trace_lines,
     win,
 )
-from paritykit.kernel import _Work, _compress_priorities
+from paritykit.kernel import _Work, _compress_priorities, kernelize_general_any_side
 from paritykit.game import p_value
 
 from conftest import random_game, scale, seeded_games
@@ -293,3 +296,50 @@ def test_lift_rejects_wrong_coverage():
     if kern.n:
         with pytest.raises(TraceMismatch):
             lift_solution(tr, bad)
+
+
+# --- pinned outputs ----------------------------------------------------------
+
+def _pinned_corpus():
+    for family, kw in (
+        ("general", lambda n: {}),
+        ("bipartite", lambda n: {}),
+        ("bounded_outdegree", lambda n: {"j": 3}),
+        ("unbalanced", lambda n: {"k": n // 4 + 1}),
+    ):
+        for n in (2, 5, 9, 16, 30, 60):
+            for bound in (2, 5, 9):
+                for seed in range(3):
+                    yield generate(family, n, bound, seed, **kw(n))
+    for k in (2, 8):
+        yield generate("unbalanced", 3200, 8, 0, k=k)
+
+
+def test_kernel_outputs_are_pinned():
+    # Kernels, traces and ids over every family, the paper's large
+    # unbalanced games included, must stay byte for byte what they were
+    # when this digest was taken.
+    digest = hashlib.sha256()
+    for g in _pinned_corpus():
+        for reduce in (kernelize_auto, kernelize_general_any_side):
+            kern, tr = reduce(g)
+            for part in (pgsolver.dumps(kern), trace_lines(tr), tr.kernel_ids, tr.swapped):
+                digest.update(repr(part).encode())
+    assert digest.hexdigest()[:16] == "bc939a3789597e63"
+
+
+def test_general_pipeline_copies_only_what_its_even_dominion_leaves(monkeypatch):
+    built = []
+    real_init = _Work.__init__
+
+    def recorded_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append(set(self.owner))
+
+    monkeypatch.setattr(_Work, "__init__", recorded_init)
+    _, tr = kernelize_general(generate("unbalanced", 3200, 8, 0, k=8))
+    (removed,) = [
+        ev.nodes for ev in tr.events if isinstance(ev, DominionRemoved) and ev.winner == 0
+    ]
+    assert len(removed) > 3000 and len(built) == 1
+    assert not built[0] & set(removed)
