@@ -1,7 +1,8 @@
 """Command-line interface: solve, kernelize, gen, verify, bench.
 
-Exit codes: 0 ok, 2 parse error, 3 validation/mode error, 4 budget
-exceeded, 5 verification failure, 6 benchmark agreement failure.
+Exit codes: 0 ok, 2 parse error or unreadable input, 3 validation/mode
+error or unwritable output, 4 budget exceeded, 5 verification failure,
+6 benchmark agreement failure.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import sys
 import tempfile
 import threading
 import time
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from . import pgsolver
@@ -69,14 +71,22 @@ def _run_big_stack(fn):
     return result["value"]
 
 
+@contextmanager
+def _file_errors(path, verb):
+    """Exit 2 when `path` cannot be read (or is not UTF-8), 3 when it cannot be written."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot {verb} {path}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE if verb == "read" else EXIT_VALIDATION) from None
+
+
 def _load(path):
     try:
-        return pgsolver.read_file(path)
+        with _file_errors(path, "read"):
+            return pgsolver.read_file(path)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
-    except OSError as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
 
 
@@ -172,12 +182,14 @@ def cmd_kernelize(args) -> int:
         # every node, so there is no kernel file to write.
         print(f"kernel is empty: {args.out} not written", file=sys.stderr)
     elif args.out:
-        pgsolver.write_file(args.out, kernel)
+        with _file_errors(args.out, "write"):
+            pgsolver.write_file(args.out, kernel)
     if args.trace_out:
-        Path(args.trace_out).write_text(
-            "".join(line + "\n" for line in trace_lines(trace)),
-            encoding="utf-8",
-        )
+        with _file_errors(args.trace_out, "write"):
+            Path(args.trace_out).write_text(
+                "".join(line + "\n" for line in trace_lines(trace)),
+                encoding="utf-8",
+            )
     return EXIT_OK
 
 
@@ -192,7 +204,8 @@ def cmd_gen(args) -> int:
     st = stats(game)
     print(f"stats: n={st.n} m={st.m} k={st.k} p={st.priority_count}")
     if args.out:
-        pgsolver.write_file(args.out, game)
+        with _file_errors(args.out, "write"):
+            pgsolver.write_file(args.out, game)
     else:
         sys.stdout.write(pgsolver.dumps(game))
     return EXIT_OK
@@ -238,7 +251,8 @@ def cmd_verify(args) -> int:
     game, ids = _load(args.game)
     _check_valid(game)
     try:
-        result = _parse_result_file(args.result, game, ids)
+        with _file_errors(args.result, "read"):
+            result = _parse_result_file(args.result, game, ids)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -291,11 +305,8 @@ def _bench_one(path, algo, timeout):
     }
 
 
-def cmd_bench(args) -> int:
-    header = [
-        "instance", "family", "n", "m", "k", "p", "j",
-        "algo", "ns", "depth", "dominion_hits", "hash",
-    ]
+def _bench_rows(args):
+    """(rows, agreement_ok) over every generated instance and algorithm."""
     rows = []
     agreement_ok = True
     with tempfile.TemporaryDirectory(prefix="bench") as tmp:
@@ -339,14 +350,22 @@ def cmd_bench(args) -> int:
                             agreement_ok = False
                             print(f"agreement failure on {instance}",
                                   file=sys.stderr)
-    out = open(args.csv, "w", newline="") if args.csv else sys.stdout
-    try:
-        writer = csv.DictWriter(out, fieldnames=header)
+    return rows, agreement_ok
+
+
+def cmd_bench(args) -> int:
+    header = [
+        "instance", "family", "n", "m", "k", "p", "j",
+        "algo", "ns", "depth", "dominion_hits", "hash",
+    ]
+    # Opened before the first solve, so an unwritable path costs no work.
+    with _file_errors(args.csv, "write"):
+        out = open(args.csv, "w", newline="") if args.csv else nullcontext(sys.stdout)
+    with out as fh:
+        rows, agreement_ok = _bench_rows(args)
+        writer = csv.DictWriter(fh, fieldnames=header)
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if args.csv:
-            out.close()
     return EXIT_OK if agreement_ok else EXIT_AGREEMENT
 
 

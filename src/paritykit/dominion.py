@@ -58,66 +58,62 @@ def find_dominion_by_odd_nodes(game: ParityGame, ell: int, subsolver):
     return None
 
 
-def _grow_candidates(game: ParityGame, player: int, start: int, budget: DegreeBudget):
-    """All closed-candidate (set, strategy) pairs grown from `start`.
-
-    Nodes enter a frontier and are consumed smallest-id first; nodes of
-    `player` branch over a single kept edge, opponent nodes pull in all
-    successors. Growth aborts once the set holds more than `ell` nodes of
-    out-degree above `j` or more than `s` of out-degree at most `j`.
-    """
-    deg = [len(game.succ[v]) for v in game.nodes()]
-    j, ell, s = budget.j, budget.ell, budget.s
-
-    def rec(members, frontier, high, low, choice):
-        if not frontier:
-            yield frozenset(members), dict(choice)
-            return
-        u = min(frontier)
-        rest = frontier - {u}
-        if game.owner[u] == player:
-            for w in game.succ[u]:
-                choice[u] = w
-                if w in members:
-                    yield from rec(members, rest, high, low, choice)
-                else:
-                    h2 = high + (deg[w] > j)
-                    l2 = low + (deg[w] <= j)
-                    if h2 > ell or l2 > s:
-                        del choice[u]
-                        continue
-                    yield from rec(members | {w}, rest | {w}, h2, l2, choice)
-                del choice[u]
-        else:
-            fresh = [w for w in game.succ[u] if w not in members]
-            h2 = high + sum(1 for w in fresh if deg[w] > j)
-            l2 = low + sum(1 for w in fresh if deg[w] <= j)
-            if h2 > ell or l2 > s:
-                return
-            yield from rec(members | set(fresh), rest | set(fresh), h2, l2, choice)
-
-    high0 = 1 if deg[start] > j else 0
-    if high0 > budget.ell or (1 - high0) > budget.s:
-        return
-    yield from rec(frozenset([start]), frozenset([start]), high0, 1 - high0, {})
-
-
 def find_dominion_by_degree(game: ParityGame, budget: DegreeBudget):
     """A dominion within the out-degree budget, if one exists.
 
-    Grows candidates from every start node for both players, verifies
-    each distinct (set, strategy) pair, and returns the first verified
-    one in deterministic enumeration order.
+    For each player and each start node, grows candidates: nodes enter a
+    frontier and are consumed smallest-id first; the player's nodes
+    branch over one kept successor, opponent nodes pull in all of theirs.
+    A branch ends once the set holds more than `ell` nodes of out-degree
+    above `j` or more than `s` of out-degree at most `j`. Each distinct
+    closed (set, strategy) candidate is verified, and the first verified
+    one in this order is returned.
     """
+    deg = [len(succ) for succ in game.succ]
+    j, ell, s = budget.j, budget.ell, budget.s
     seen = set()
-    for player in (0, 1):
-        for start in game.nodes():
-            for members, choice in _grow_candidates(game, player, start, budget):
-                key = (player, members, tuple(sorted(choice.items())))
-                if key in seen:
+
+    def grow(player, members, frontier, high, low, choice):
+        if not frontier:
+            key = (player, members, tuple(sorted(choice)))
+            if key in seen:
+                return None
+            seen.add(key)
+            strat = Strategy(player, dict(choice))
+            if verify_strategy(game, members, strat):
+                return DominionResult(members, player, strat)
+            return None
+        u = min(frontier)
+        rest = frontier - {u}
+        if game.owner[u] != player:
+            fresh = [w for w in game.succ[u] if w not in members]
+            big = sum(deg[w] > j for w in fresh)
+            high, low = high + big, low + len(fresh) - big
+            if high > ell or low > s:
+                return None
+            return grow(player, members.union(fresh), rest.union(fresh), high, low, choice)
+        for w in game.succ[u]:
+            if w in members:
+                found = grow(player, members, rest, high, low, choice + ((u, w),))
+            else:
+                big = deg[w] > j
+                if high + big > ell or low + (not big) > s:
                     continue
-                seen.add(key)
-                strat = Strategy(player, choice)
-                if verify_strategy(game, members, strat):
-                    return DominionResult(members, player, strat)
-    return None
+                found = grow(player, members | {w}, rest | {w}, high + big, low + (not big),
+                             choice + ((u, w),))
+            if found:
+                return found
+        return None
+
+    try:
+        for player in (0, 1):
+            for start in game.nodes():
+                high = int(deg[start] > j)
+                if high <= ell and 1 - high <= s:
+                    found = grow(player, frozenset([start]), frozenset([start]), high,
+                                 1 - high, ())
+                    if found:
+                        return found
+        return None
+    finally:
+        del grow  # its closure refers to itself; breaking that cycle frees `seen` at once

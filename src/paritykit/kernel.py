@@ -271,7 +271,6 @@ def kernelize_general(game: ParityGame):
     odd_ids = work.side(1)
     bit = {w: 1 << i for i, w in enumerate(odd_ids)}
     v0 = [v for v in work.nodes() if work.owner[v] == 0]
-    v0_set = set(v0)
     direct = {
         v: sum(bit[w] for w in work.succ[v] if w in bit) for v in v0
     }

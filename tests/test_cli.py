@@ -15,6 +15,7 @@ from paritykit import (
     solve_context,
     trace_lines,
 )
+from paritykit import cli
 from paritykit.cli import main
 
 
@@ -392,3 +393,50 @@ def test_gen_refuses_a_parameter_the_family_ignores(capsys):
         assert code == 3
         assert out == ""
         assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "general", "4", "--out", "{out}"),
+        ("kernelize", "{game}", "--out", "{out}"),
+        ("kernelize", "{game}", "--trace-out", "{out}"),
+        ("bench", "--families", "general", "--sizes", "4", "--algos", "zielonka",
+         "--csv", "{out}"),
+    ],
+    ids=("gen-out", "kernelize-out", "kernelize-trace-out", "bench-csv"),
+)
+def test_unwritable_output_exits_3(capsys, tmp_path, monkeypatch, argv):
+    game = write_game(tmp_path, generate("unbalanced", 30, 4, 1, k=2))
+    out = str(tmp_path / "missing" / "out.txt")
+    solved = []
+
+    def bench_one(*args):
+        solved.append(args)
+        return {"ns": "1", "depth": "", "dominion_hits": "", "j": "", "hash": ""}
+
+    monkeypatch.setattr(cli, "_bench_one", bench_one)
+    code, _, err = run(capsys, *(arg.format(game=game, out=out) for arg in argv))
+    assert code == 3
+    assert err.startswith(f"cannot write {out}: ") and err.count("\n") == 1
+    assert solved == []  # bench refuses the path before its first solve
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "{binary}"),
+        ("verify", "{game}", "{missing}"),
+        ("verify", "{game}", "{binary}"),
+    ],
+    ids=("solve-not-utf8", "verify-missing-result", "verify-result-not-utf8"),
+)
+def test_unreadable_input_exits_2(capsys, tmp_path, argv):
+    game = write_game(tmp_path, ParityGame([0, 1], [2, 1], [[1], [0]]))
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\x7fELF\x02\x01\x01\x00\xff\xfe\x00\x00")
+    paths = {"game": game, "binary": str(binary), "missing": str(tmp_path / "missing.txt")}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"cannot read {argv[-1].format(**paths)}: ")
+    assert err.count("\n") == 1

@@ -1,4 +1,6 @@
 """Dominion searches against an exhaustive subset-enumeration oracle."""
+import gc
+import hashlib
 import itertools
 
 import pytest
@@ -12,6 +14,7 @@ from paritykit import (
     is_closed,
     find_dominion_by_degree,
     find_dominion_by_odd_nodes,
+    generate,
     solve_brute,
     subgame,
     verify_strategy,
@@ -136,3 +139,59 @@ def test_dominion_witness_for_the_wrong_player_is_reported(monkeypatch):
     monkeypatch.setattr(dominion, "_zielonka_win", wrong_winner)
     with pytest.raises(ParityKitError, match="witness"):
         find_dominion_by_odd_nodes(g, 1, win)
+
+
+def _degree_corpus():
+    for family, kw in (
+        ("general", lambda n: {}),
+        ("bipartite", lambda n: {}),
+        ("bounded_outdegree", lambda n: {"j": 3}),
+        ("unbalanced", lambda n: {"k": n // 3 + 1}),
+    ):
+        for n in (2, 4, 7, 11, 16):
+            for bound in (2, 5):
+                for seed in range(3):
+                    yield generate(family, n, bound, seed, **kw(n))
+
+
+_BUDGET_GRID = [
+    DegreeBudget(ell, s, j) for ell in (0, 1, 3) for s in (1, 3, 6) for j in (1, 2, 3)
+]
+
+
+def test_degree_search_outputs_are_pinned():
+    # The first dominion found, its owner and its witness in key order
+    # must stay byte for byte what they were when this digest was taken.
+    digest = hashlib.sha256()
+    for g in _degree_corpus():
+        for budget in _BUDGET_GRID:
+            dom = find_dominion_by_degree(g, budget)
+            if dom is not None:
+                dom = (sorted(dom.set), dom.owner, list(dom.witness.choice.items()))
+            digest.update(repr(dom).encode())
+    assert digest.hexdigest()[:16] == "814aaef86f79ac38"
+
+
+def test_degree_search_grows_a_long_cycle_under_the_default_limit():
+    n = 400
+    g = ParityGame([0] * n, [2] + [1] * (n - 1), [[(v + 1) % n] for v in range(n)])
+    dom = find_dominion_by_degree(g, DegreeBudget(ell=0, s=n, j=1))
+    assert dom.set == frozenset(range(n)) and dom.owner == 0
+    assert list(dom.witness.choice.items()) == [(v, (v + 1) % n) for v in range(n)]
+
+
+def test_degree_search_leaves_no_cyclic_garbage():
+    # Whatever one search allocates is freed by reference counting alone,
+    # so nothing it built waits for the cyclic collector.
+    left = []
+    for family, kw in (("general", {}), ("bipartite", {}), ("bounded_outdegree", {"j": 3})):
+        g = generate(family, 9, 5, 0, **kw)
+        for budget in (DegreeBudget(ell=1, s=3, j=2), DegreeBudget(ell=3, s=6, j=1)):
+            gc.collect()
+            gc.disable()
+            try:
+                find_dominion_by_degree(g, budget)
+                left.append(gc.collect())
+            finally:
+                gc.enable()
+    assert left == [0] * len(left)
