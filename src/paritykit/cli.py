@@ -81,6 +81,37 @@ def _file_errors(path, verb):
         raise SystemExit(EXIT_PARSE if verb == "read" else EXIT_VALIDATION) from None
 
 
+@contextmanager
+def _claimed(path):
+    """Open `path` (None: no file) before any work, so that an unwritable
+    path is refused at once, and yield a function that replaces its text.
+
+    Until that function is called the file keeps what it held, and a file
+    created here but never written is removed again on exit.
+    """
+    if path is None:
+        yield None
+        return
+    existed = Path(path).exists()
+    with _file_errors(path, "write"):
+        fh = open(path, "a", encoding="utf-8")
+    written = False
+
+    def write(text):
+        nonlocal written
+        with _file_errors(path, "write"):
+            fh.truncate(0)
+            fh.write(text)
+        written = True
+
+    try:
+        yield write
+    finally:
+        fh.close()
+        if not written and not existed:
+            Path(path).unlink(missing_ok=True)
+
+
 def _load(path):
     try:
         with _file_errors(path, "read"):
@@ -155,41 +186,37 @@ def cmd_solve(args) -> int:
 def cmd_kernelize(args) -> int:
     game, _ = _load(args.input)
     _check_valid(game)
-    st = stats(game)
-    if args.mode == "bipartite":
-        try:
-            kernel, trace = kernelize_bipartite(game)
-        except NotBipartite as exc:
-            print(f"not bipartite: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-    elif args.mode == "general":
-        kernel, trace = kernelize_general_any_side(game)
-    else:
-        kernel, trace = kernelize_auto(game)
-    k, p = st.k, st.priority_count
-    bipartite_pipeline = args.mode == "bipartite" or (
-        args.mode == "auto" and is_bipartite(game)
-    )
-    if bipartite_pipeline:
-        bound = k + 2**k * min(k, p)
-    else:
-        bound = (p + 1) ** k + (p + 1) * k
-    print(f"nodes: {game.n} -> {kernel.n}")
-    verdict = "PASS" if kernel.n <= bound else "FAIL"
-    print(f"bound: {bound} {verdict}")
-    if args.out and kernel.n == 0:
-        # A game file needs at least one node; the trace alone decides
-        # every node, so there is no kernel file to write.
-        print(f"kernel is empty: {args.out} not written", file=sys.stderr)
-    elif args.out:
-        with _file_errors(args.out, "write"):
-            pgsolver.write_file(args.out, kernel)
-    if args.trace_out:
-        with _file_errors(args.trace_out, "write"):
-            Path(args.trace_out).write_text(
-                "".join(line + "\n" for line in trace_lines(trace)),
-                encoding="utf-8",
-            )
+    with _claimed(args.out) as write_kernel, _claimed(args.trace_out) as write_trace:
+        st = stats(game)
+        if args.mode == "bipartite":
+            try:
+                kernel, trace = kernelize_bipartite(game)
+            except NotBipartite as exc:
+                print(f"not bipartite: {exc}", file=sys.stderr)
+                return EXIT_VALIDATION
+        elif args.mode == "general":
+            kernel, trace = kernelize_general_any_side(game)
+        else:
+            kernel, trace = kernelize_auto(game)
+        k, p = st.k, st.priority_count
+        bipartite_pipeline = args.mode == "bipartite" or (
+            args.mode == "auto" and is_bipartite(game)
+        )
+        if bipartite_pipeline:
+            bound = k + 2**k * min(k, p)
+        else:
+            bound = (p + 1) ** k + (p + 1) * k
+        print(f"nodes: {game.n} -> {kernel.n}")
+        verdict = "PASS" if kernel.n <= bound else "FAIL"
+        print(f"bound: {bound} {verdict}")
+        if args.out and kernel.n == 0:
+            # A game file needs at least one node; the trace alone decides
+            # every node, so there is no kernel file to write.
+            print(f"kernel is empty: {args.out} not written", file=sys.stderr)
+        elif args.out:
+            write_kernel(pgsolver.dumps(kernel))
+        if args.trace_out:
+            write_trace("".join(line + "\n" for line in trace_lines(trace)))
     return EXIT_OK
 
 
@@ -201,13 +228,13 @@ def cmd_gen(args) -> int:
     except InvalidFamilyParams as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    st = stats(game)
-    print(f"stats: n={st.n} m={st.m} k={st.k} p={st.priority_count}")
-    if args.out:
-        with _file_errors(args.out, "write"):
-            pgsolver.write_file(args.out, game)
-    else:
-        sys.stdout.write(pgsolver.dumps(game))
+    with _claimed(args.out) as write_game:
+        st = stats(game)
+        print(f"stats: n={st.n} m={st.m} k={st.k} p={st.priority_count}")
+        if args.out:
+            write_game(pgsolver.dumps(game))
+        else:
+            sys.stdout.write(pgsolver.dumps(game))
     return EXIT_OK
 
 

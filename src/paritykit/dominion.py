@@ -58,6 +58,16 @@ def find_dominion_by_odd_nodes(game: ParityGame, ell: int, subsolver):
     return None
 
 
+def _nodes_in(mask: int) -> frozenset:
+    """The node ids whose bits are set in `mask`."""
+    nodes = []
+    while mask:
+        low = mask & -mask
+        nodes.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(nodes)
+
+
 def find_dominion_by_degree(game: ParityGame, budget: DegreeBudget):
     """A dominion within the out-degree budget, if one exists.
 
@@ -68,39 +78,56 @@ def find_dominion_by_degree(game: ParityGame, budget: DegreeBudget):
     above `j` or more than `s` of out-degree at most `j`. Each distinct
     closed (set, strategy) candidate is verified, and the first verified
     one in this order is returned.
+
+    The set and the frontier are int bitmasks over node ids. Forced moves
+    (every opponent node, and each player node with one successor) are
+    taken in a loop, so the recursion is only as deep as the player's real
+    choices.
     """
-    deg = [len(succ) for succ in game.succ]
+    succ, deg = game.succ, [len(ts) for ts in game.succ]
     j, ell, s = budget.j, budget.ell, budget.s
+    smask = [sum(1 << w for w in ts) for ts in succ]
+    high_mask = sum(1 << v for v in game.nodes() if deg[v] > j)
+    owned = [sum(1 << v for v in game.nodes_of(player)) for player in (0, 1)]
     seen = set()
 
     def grow(player, members, frontier, high, low, choice):
-        if not frontier:
+        mine = owned[player]
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            u = bit.bit_length() - 1
+            if bit & mine:
+                if deg[u] != 1:
+                    break  # a real choice: branch over u's successors below
+                choice += ((u, succ[u][0]),)
+            fresh = smask[u] & ~members
+            if fresh:
+                big = (fresh & high_mask).bit_count()
+                high, low = high + big, low + fresh.bit_count() - big
+                if high > ell or low > s:
+                    return None
+                members |= fresh
+                frontier |= fresh
+        else:  # the frontier is used up: a closed candidate
             key = (player, members, tuple(sorted(choice)))
             if key in seen:
                 return None
             seen.add(key)
-            strat = Strategy(player, dict(choice))
-            if verify_strategy(game, members, strat):
-                return DominionResult(members, player, strat)
+            region, strat = _nodes_in(members), Strategy(player, dict(choice))
+            if verify_strategy(game, region, strat):
+                return DominionResult(region, player, strat)
             return None
-        u = min(frontier)
-        rest = frontier - {u}
-        if game.owner[u] != player:
-            fresh = [w for w in game.succ[u] if w not in members]
-            big = sum(deg[w] > j for w in fresh)
-            high, low = high + big, low + len(fresh) - big
-            if high > ell or low > s:
-                return None
-            return grow(player, members.union(fresh), rest.union(fresh), high, low, choice)
-        for w in game.succ[u]:
-            if w in members:
-                found = grow(player, members, rest, high, low, choice + ((u, w),))
+        for w in succ[u]:
+            wbit = 1 << w
+            if members & wbit:
+                found = grow(player, members, frontier, high, low, choice + ((u, w),))
             else:
                 big = deg[w] > j
                 if high + big > ell or low + (not big) > s:
                     continue
-                found = grow(player, members | {w}, rest | {w}, high + big, low + (not big),
-                             choice + ((u, w),))
+                found = grow(player, members | wbit, frontier | wbit, high + big,
+                             low + (not big), choice + ((u, w),))
             if found:
                 return found
         return None
@@ -110,8 +137,7 @@ def find_dominion_by_degree(game: ParityGame, budget: DegreeBudget):
             for start in game.nodes():
                 high = int(deg[start] > j)
                 if high <= ell and 1 - high <= s:
-                    found = grow(player, frozenset([start]), frozenset([start]), high,
-                                 1 - high, ())
+                    found = grow(player, 1 << start, 1 << start, high, 1 - high, ())
                     if found:
                         return found
         return None

@@ -269,6 +269,22 @@ def test_kernelize_writes_no_game_file_for_an_empty_kernel(capsys, tmp_path):
     assert trace_path.read_text() == "DOM 0 0 1\n"
 
 
+def test_kernelize_replaces_an_existing_output_but_keeps_it_for_an_empty_kernel(
+        capsys, tmp_path):
+    out_path = tmp_path / "kernel.gm"
+    out_path.write_text("x" * 100_000, encoding="utf-8")
+    path = write_game(tmp_path, generate("unbalanced", 30, 4, 1, k=2))
+    code, _, _ = run(capsys, "kernelize", path, "--out", str(out_path))
+    assert code == 0
+    kern, _ = pgsolver.read_file(out_path)
+    assert kern.n < 30
+    empty = write_game(tmp_path, ParityGame([0, 1], [0, 1], [[0], [0]]), name="empty.gm")
+    before = out_path.read_text(encoding="utf-8")
+    code, _, err = run(capsys, "kernelize", empty, "--out", str(out_path))
+    assert code == 0 and err == f"kernel is empty: {out_path} not written\n"
+    assert out_path.read_text(encoding="utf-8") == before
+
+
 def test_kernelize_bipartite_mode_rejects_general_games(capsys, tmp_path):
     path = write_game(tmp_path, ParityGame([0, 0], [0, 0], [[1], [0]]))
     code, _, err = run(capsys, "kernelize", path, "--mode", "bipartite")
@@ -415,11 +431,17 @@ def test_unwritable_output_exits_3(capsys, tmp_path, monkeypatch, argv):
         solved.append(args)
         return {"ns": "1", "depth": "", "dominion_hits": "", "j": "", "hash": ""}
 
+    def kernelize(game):
+        solved.append(game)
+        return kernelize_auto(game)
+
     monkeypatch.setattr(cli, "_bench_one", bench_one)
-    code, _, err = run(capsys, *(arg.format(game=game, out=out) for arg in argv))
+    monkeypatch.setattr(cli, "kernelize_auto", kernelize)
+    code, out_text, err = run(capsys, *(arg.format(game=game, out=out) for arg in argv))
     assert code == 3
+    assert out_text == ""
     assert err.startswith(f"cannot write {out}: ") and err.count("\n") == 1
-    assert solved == []  # bench refuses the path before its first solve
+    assert solved == []  # the path is refused before the first kernelize or solve
 
 
 @pytest.mark.parametrize(

@@ -180,6 +180,17 @@ def test_degree_search_grows_a_long_cycle_under_the_default_limit():
     assert list(dom.witness.choice.items()) == [(v, (v + 1) % n) for v in range(n)]
 
 
+def test_degree_search_takes_forced_moves_without_a_frame_each():
+    # Odd's nodes and Even's one-successor nodes add no recursion level,
+    # so a cycle longer than the default recursion limit still grows.
+    n = 1600
+    g = ParityGame([v % 2 for v in range(n)], [2] + [1] * (n - 1),
+                   [[(v + 1) % n] for v in range(n)])
+    dom = find_dominion_by_degree(g, DegreeBudget(ell=0, s=n, j=1))
+    assert dom.set == frozenset(range(n)) and dom.owner == 0
+    assert list(dom.witness.choice.items()) == [(v, v + 1) for v in range(0, n, 2)]
+
+
 def test_degree_search_leaves_no_cyclic_garbage():
     # Whatever one search allocates is freed by reference counting alone,
     # so nothing it built waits for the cyclic collector.

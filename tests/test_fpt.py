@@ -1,4 +1,5 @@
 """Parameterized solvers: budgets, threshold choice, and agreement."""
+import hashlib
 import math
 import sys
 import threading
@@ -398,3 +399,20 @@ def test_degree_search_keys_every_strategy_inside_its_region(monkeypatch):
             if strat is not None:
                 region = res.winners(player)
                 assert all(v in region and game.owner[v] == player for v in strat.choice)
+
+
+def test_fpt_degree_outputs_are_pinned():
+    # Both regions, both strategies in key order and the solve's counters
+    # must stay byte for byte what they were when this digest was taken.
+    digest = hashlib.sha256()
+    for family, kw in (("general", {}), ("bipartite", {}), ("bounded_outdegree", {"j": 3})):
+        for n in (6, 12, 20, 30, 40):
+            for seed in range(3):
+                g = generate(family, n, 6, seed, **kw)
+                with solve_context() as ctx:
+                    res = solve(g, "fpt_degree")
+                choices = [None if s is None else list(s.choice.items())
+                           for s in (res.strategy0, res.strategy1)]
+                digest.update(repr((sorted(res.w0), sorted(res.w1), choices,
+                                    ctx.dominion_hits, ctx.max_depth)).encode())
+    assert digest.hexdigest()[:16] == "be780cb407bacc22"
