@@ -242,7 +242,7 @@ def _parse_result_file(path, game, ids):
     file_to_dense = {fid: v for v, fid in enumerate(ids)}
     sets = {}
     strategies = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in Path(path).read_text(encoding="utf-8-sig").splitlines():
         line = raw.strip()
         if not line:
             continue
@@ -452,7 +452,11 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 after a usage error.
+        return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     try:
         return args.func(args)
     except SystemExit as exc:

@@ -57,26 +57,24 @@ class ParityGame:
         self._fill(owner, priority, tuple(succ))
 
     @classmethod
-    def _canonical(cls, owner, priority, succ, pred=None):
+    def _canonical(cls, owner, priority, succ):
         """A game built from tuples that are already deduplicated, ascending
-        and in range, with none of `__init__`'s checks. `pred`, when given,
-        must be the transpose of `succ`; it is derived when omitted."""
+        and in range, with none of `__init__`'s checks."""
         game = object.__new__(cls)
-        game._fill(owner, priority, succ, pred)
+        game._fill(owner, priority, succ)
         return game
 
-    def _fill(self, owner, priority, succ, pred=None):
-        # The only code that sets the slots; see `_canonical` for its contract.
-        if pred is None:
-            lists = [[] for _ in succ]
-            for u, ts in enumerate(succ):
-                for v in ts:
-                    lists[v].append(u)
-            pred = tuple(tuple(ps) for ps in lists)
+    def _fill(self, owner, priority, succ):
+        # The only code that sets the slots, and so the only source of
+        # `pred`: it is always the transpose of `succ`, each list ascending.
+        lists = [[] for _ in succ]
+        for u, ts in enumerate(succ):
+            for v in ts:
+                lists[v].append(u)
         self.owner = owner
         self.priority = priority
         self.succ = succ
-        self.pred = pred
+        self.pred = tuple(tuple(ps) for ps in lists)
 
     @property
     def n(self) -> int:
@@ -123,15 +121,8 @@ def validate(game: ParityGame) -> ValidationReport:
     for v in game.nodes():
         if not game.succ[v]:
             violations.append(f"sink node {v}")
-    # Duplicates and dangling ids cannot survive construction. `pred` is
-    # not always derived from `succ`: `subgame` filters its parent's
-    # `pred`, and the transpose check guards that.
-    pred = [[] for _ in range(game.n)]
-    for u, ts in enumerate(game.succ):
-        for v in ts:
-            pred[v].append(u)
-    if tuple(tuple(ps) for ps in pred) != game.pred:
-        violations.append("transpose mismatch between out_edges and in_edges")
+    # Duplicates and dangling ids cannot survive construction, and `pred`
+    # is always derived from `succ`.
     return ValidationReport(tuple(violations))
 
 
@@ -199,7 +190,7 @@ def subgame(game: ParityGame, remove) -> tuple:
     for i, v in enumerate(keep):
         to_sub[v] = i
     # The parent's lists are ascending and `to_sub` is monotone, so the
-    # filtered lists are ascending and the filtered pred is the transpose.
+    # filtered lists are ascending.
     succ = []
     for v in keep:
         ts = tuple([to_sub[w] for w in game.succ[v] if to_sub[w] >= 0])
@@ -208,14 +199,10 @@ def subgame(game: ParityGame, remove) -> tuple:
                 f"node {v} becomes a sink in the sub-game (complement not closed)"
             )
         succ.append(ts)
-    pred = tuple(
-        [tuple([to_sub[u] for u in game.pred[v] if to_sub[u] >= 0]) for v in keep]
-    )
     sub = ParityGame._canonical(
         tuple([game.owner[v] for v in keep]),
         tuple([game.priority[v] for v in keep]),
         tuple(succ),
-        pred,
     )
     return sub, SubgameMap(to_orig=tuple(keep))
 
@@ -230,5 +217,4 @@ def swap_roles(game: ParityGame) -> ParityGame:
         tuple([1 - o for o in game.owner]),
         tuple([p + 1 for p in game.priority]),
         game.succ,
-        game.pred,
     )

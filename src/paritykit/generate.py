@@ -49,12 +49,15 @@ def generate(family: str, n: int, priority_bound: int, seed: int, *, j=None, k=N
         rng.shuffle(ids)
         evens = set(ids[: n // 2])
         owners = [0 if v in evens else 1 for v in range(n)]
-        side = [sorted(v for v in range(n) if owners[v] != owners[u]) for u in range(n)]
+        by_owner = ([], [])
+        for v in range(n):
+            by_owner[owners[v]].append(v)
         edges = []
         for u in range(n):
+            other = by_owner[1 - owners[u]]
             extra = rng.randrange(0, 3)
-            count = min(1 + extra, len(side[u]))
-            edges.append(rng.sample(side[u], count))
+            count = min(1 + extra, len(other))
+            edges.append(rng.sample(other, count))
         return ParityGame(owners, priorities, edges)
 
     if family == "unbalanced":

@@ -409,16 +409,13 @@ def _bipartite_pass(work, events):
     for player in (0, 1):
         # out-degree rule: when v dominates u for the players choosing
         # between them, edges into u from shared choosers are dead.
+        # The loop only deletes edges, so every node of `side` stays.
         side = work.side(player)
+        pref = 1 - player
         for u in side:
-            if u not in work.owner:
-                continue
             for v in side:
-                if v == u or v not in work.owner or u not in work.owner:
+                if v == u or not work.succ[v] <= work.succ[u]:
                     continue
-                if not work.succ[v] <= work.succ[u]:
-                    continue
-                pref = 1 - player
                 if p_value(work.prio[v], pref) < p_value(work.prio[u], pref):
                     continue
                 shared = work.pred[u] & work.pred[v]

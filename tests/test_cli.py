@@ -58,11 +58,12 @@ def test_solve_emit_strategy_roundtrips_through_verify(capsys, tmp_path):
     path = write_game(tmp_path, g)
     code, out, _ = run(capsys, "solve", path, "--emit-strategy", "--algo", "zielonka")
     assert code == 0
-    result_path = tmp_path / "result.txt"
-    result_path.write_text(out)
-    code, out, _ = run(capsys, "verify", path, str(result_path))
-    assert code == 0
-    assert out.strip() == "ok"
+    # A byte-order mark is accepted on the result file as on the game file.
+    for encoding in ("utf-8", "utf-8-sig"):
+        result_path = tmp_path / "result.txt"
+        result_path.write_bytes(out.encode(encoding))
+        code, verified, err = run(capsys, "verify", path, str(result_path))
+        assert (code, verified.strip(), err) == (0, "ok", "")
 
 
 def test_solve_metrics_output(capsys, simple_game):
@@ -373,6 +374,20 @@ def test_solve_rejects_degree_threshold_for_other_algorithms(capsys, simple_game
         assert code == 3
         assert out == ""
         assert len(err.splitlines()) == 1 and "--j" in err
+
+
+def test_usage_errors_exit_3_and_help_exits_0(capsys, simple_game):
+    for argv in (
+        ("solve", simple_game, "--algo", "foo"),
+        ("solve", simple_game, "--j", "abc"),
+        ("nosuch",),
+        (),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert "usage:" in err
+    code, out, err = run(capsys, "solve", "--help")
+    assert code == 0 and "usage:" in out and err == ""
 
 
 def test_solve_leaves_the_recursion_limit_as_it_was(capsys, simple_game):

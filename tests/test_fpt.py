@@ -1,5 +1,6 @@
 """Parameterized solvers: budgets, threshold choice, and agreement."""
 import hashlib
+import itertools
 import math
 import sys
 import threading
@@ -337,11 +338,17 @@ def test_concurrent_solves_share_no_counters_or_memo():
         lambda g: new_win2(g, 3),
         lambda g: old_win2(g, 2),
         lambda g: new_win1(g, FptConfig(kernelize=False)),
+        lambda g: new_win1(g, FptConfig(kernelize=False, base_case_k=2)),
     ],
-    ids=("new_win2-j2", "new_win2-j3", "old_win2", "new_win1-no-kernel"),
+    ids=("new_win2-j2", "new_win2-j3", "old_win2", "new_win1-no-kernel",
+         "new_win1-no-kernel-k2"),
 )
 def test_unkernelized_results_certify_on_the_seeded_corpora(solver):
-    for g in _fpt_corpus():
+    # README promises these results certify; one-node games included.
+    corpus = itertools.chain(
+        _fpt_corpus(), seeded_games(scale(300, 60), n_range=(1, 9), seed=5)
+    )
+    for g in corpus:
         assert verify_partition(g, solver(g))
 
 

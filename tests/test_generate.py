@@ -1,4 +1,7 @@
 """Seeded generator families: determinism and per-family shape."""
+import hashlib
+import tracemalloc
+
 import pytest
 
 from paritykit import FAMILIES, InvalidFamilyParams, generate, is_bipartite, pgsolver, validate
@@ -41,6 +44,28 @@ def test_all_families_produce_valid_games():
 def test_bipartite_family_is_bipartite():
     for seed in range(30):
         assert is_bipartite(generate("bipartite", 8, 4, seed))
+
+
+def test_bipartite_games_are_pinned():
+    # The bipartite family must keep producing these exact games.
+    digest = hashlib.sha256()
+    for n in (2, 3, 5, 8, 13, 24, 48, 100, 257, 600):
+        for bound in (1, 3, 8):
+            for seed in range(6):
+                digest.update(pgsolver.dumps(generate("bipartite", n, bound, seed)).encode())
+    assert digest.hexdigest()[:16] == "b7965328fcda28ff"
+
+
+def test_bipartite_generation_memory_stays_small():
+    # One list of other-side nodes per owner, not one per node: a per-node
+    # list costs about 74 MB here.
+    tracemalloc.start()
+    try:
+        generate("bipartite", 2000, 4, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_bounded_outdegree_respects_threshold():
