@@ -28,12 +28,7 @@ from .errors import (
 from .fpt import FptConfig, degree_threshold, solve, solve_context
 from .game import is_bipartite, stats, validate
 from .generate import FAMILIES, generate
-from .kernel import (
-    kernelize_auto,
-    kernelize_bipartite,
-    kernelize_general_any_side,
-    trace_lines,
-)
+from .kernel import kernelize_bipartite, kernelize_general, trace_lines
 from .oracle import SolveResult, Strategy, verify_partition_report
 
 EXIT_OK = 0
@@ -183,32 +178,34 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _bound_text(bound):
+    """`bound` in full below 4,300 digits, str()'s default limit (fixed, as
+    the process-wide setting may differ), else `>10^D`, where 0.30102999 <
+    log10(2) makes 10^D < 2^(bit_length - 1) <= bound."""
+    if bound < 10**4299:
+        return str(bound)
+    return f">10^{(bound.bit_length() - 1) * 30102999 // 10**8}"
+
+
 def cmd_kernelize(args) -> int:
     game, _ = _load(args.input)
     _check_valid(game)
     with _claimed(args.out) as write_kernel, _claimed(args.trace_out) as write_trace:
         st = stats(game)
-        if args.mode == "bipartite":
+        k, p = st.k, st.priority_count
+        if args.mode == "bipartite" or (args.mode == "auto" and is_bipartite(game)):
             try:
                 kernel, trace = kernelize_bipartite(game)
             except NotBipartite as exc:
                 print(f"not bipartite: {exc}", file=sys.stderr)
                 return EXIT_VALIDATION
-        elif args.mode == "general":
-            kernel, trace = kernelize_general_any_side(game)
-        else:
-            kernel, trace = kernelize_auto(game)
-        k, p = st.k, st.priority_count
-        bipartite_pipeline = args.mode == "bipartite" or (
-            args.mode == "auto" and is_bipartite(game)
-        )
-        if bipartite_pipeline:
             bound = k + 2**k * min(k, p)
         else:
+            kernel, trace = kernelize_general(game)
             bound = (p + 1) ** k + (p + 1) * k
         print(f"nodes: {game.n} -> {kernel.n}")
         verdict = "PASS" if kernel.n <= bound else "FAIL"
-        print(f"bound: {bound} {verdict}")
+        print(f"bound: {_bound_text(bound)} {verdict}")
         if args.out and kernel.n == 0:
             # A game file needs at least one node; the trace alone decides
             # every node, so there is no kernel file to write.

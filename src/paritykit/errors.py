@@ -21,10 +21,6 @@ class MissingStrategies(ParityKitError):
     """A certification step needs witness strategies that are absent."""
 
 
-class NotSmallerSide(ParityKitError):
-    """The general kernelizer requires the odd player to own the smaller side."""
-
-
 class NotBipartite(ParityKitError):
     """The bipartite kernelizer was handed a non-bipartite game."""
 

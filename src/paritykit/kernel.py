@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import NotBipartite, NotSmallerSide, ParityKitError, TraceMismatch
+from .errors import NotBipartite, ParityKitError, TraceMismatch
 from .game import ParityGame, is_bipartite, p1_value, p_value, swap_roles
 from .oracle import SolveResult
 from .reach import attractor
@@ -192,7 +192,8 @@ class _Work:
 # --- general-game pipeline --------------------------------------------------
 
 def kernelize_general(game: ParityGame):
-    """Reduce an arbitrary game whose Odd side is not larger.
+    """Reduce an arbitrary game. When Odd owns more than half the nodes,
+    the pipeline runs on the role-swapped game and marks the trace `swapped`.
 
     Pipeline: split Odd-internal edges through relay nodes; remove the
     Even player's reachability set of Even-won cycles inside her own
@@ -202,8 +203,9 @@ def kernelize_general(game: ParityGame):
     out-neighborhoods.
     """
     n1 = sum(game.owner)
-    if n1 > game.n - n1:
-        raise NotSmallerSide(f"odd side has {n1} of {game.n} nodes")
+    swapped = n1 > game.n - n1
+    if swapped:
+        game = swap_roles(game)
     owner, priority = game.owner, game.priority
     events = []
     # Relay registry: (priority, odd-target) -> node with that priority
@@ -275,6 +277,7 @@ def kernelize_general(game: ParityGame):
         v: sum(bit[w] for w in work.succ[v] if w in bit) for v in v0
     }
     best = {v: {} for v in v0}  # v -> {target: best path max priority}
+    seen = dict.fromkeys(v0, 0)  # v -> mask of the targets in best[v]
     # Lower p-one-value is better for Even; first assignment wins.
     for d in sorted({work.prio[v] for v in v0}, key=p1_value):
         level = [v for v in v0 if work.prio[v] <= d]
@@ -296,10 +299,13 @@ def kernelize_general(game: ParityGame):
                 reach_mask[v] = r
                 after_mask[v] = a
         for v in level:
-            m = after_mask[v]
-            for w in odd_ids:
-                if m & bit[w] and w not in best[v]:
-                    best[v][w] = d
+            # New targets only, lowest bit first: best[v]'s order decides relay ids.
+            new = after_mask[v] & ~seen[v]
+            seen[v] |= new
+            while new:
+                low = new & -new
+                best[v][odd_ids[low.bit_length() - 1]] = d
+                new ^= low
 
     relay_nodes = set(relays.values())
     for v in v0:
@@ -332,7 +338,7 @@ def kernelize_general(game: ParityGame):
     )
 
     kernel, ids = work.finish()
-    return kernel, ReductionTrace(tuple(events), game.n, ids)
+    return kernel, ReductionTrace(tuple(events), game.n, ids, swapped)
 
 
 # --- rules shared by both pipelines ----------------------------------------
@@ -453,24 +459,11 @@ def kernelize_bipartite(game: ParityGame):
     return kernel, ReductionTrace(tuple(events), game.n, ids)
 
 
-def kernelize_general_any_side(game: ParityGame):
-    """The general pipeline, run on the role-swapped game (and its trace
-    marked `swapped`) when Odd is the larger side."""
-    n1 = sum(game.owner)
-    if n1 <= game.n - n1:
-        return kernelize_general(game)
-    kernel, trace = kernelize_general(swap_roles(game))
-    return kernel, ReductionTrace(
-        trace.events, trace.n_original, trace.kernel_ids, swapped=True
-    )
-
-
 def kernelize_auto(game: ParityGame):
-    """Dispatch: bipartite rules when possible, else the general pipeline
-    on whichever orientation makes Odd the smaller side."""
+    """Dispatch: bipartite rules when possible, else the general pipeline."""
     if is_bipartite(game):
         return kernelize_bipartite(game)
-    return kernelize_general_any_side(game)
+    return kernelize_general(game)
 
 
 # --- winner lifting ---------------------------------------------------------

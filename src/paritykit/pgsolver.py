@@ -46,7 +46,10 @@ def loads(text: str):
         if m is None:
             raise ParseError(f"malformed node line {line!r}", lineno)
         node_s, prio_s, owner_s, succ_s, _name = m.groups()
-        node = int(node_s)
+        try:
+            node = int(node_s)
+        except ValueError:  # more digits than the interpreter converts
+            raise ParseError("node id has too many digits", lineno) from None
         if node in records:
             raise ParseError(f"duplicate node id {node}", lineno)
         if _DIGIT.search(succ_s) is None:
@@ -73,10 +76,18 @@ def loads(text: str):
             raise ParseError(
                 f"node {v} points to undefined node {w}", linenos[r]
             ) from None
+        except ValueError:  # more digits than the interpreter converts
+            raise ParseError(
+                f"node {v} has a successor with too many digits", linenos[r]
+            ) from None
+    try:
+        priority = tuple([int(prios[r]) for r in order])
+    except ValueError:
+        # int() refuses only digit strings over its limit, so the longest.
+        v, r = max(zip(ids, order), key=lambda vr: len(prios[vr[1]]))
+        raise ParseError(f"node {v} priority has too many digits", linenos[r]) from None
     game = ParityGame._canonical(
-        tuple([int(owners[r]) for r in order]),
-        tuple([int(prios[r]) for r in order]),
-        tuple(succ),
+        tuple([int(owners[r]) for r in order]), priority, tuple(succ)
     )
     return game, tuple(ids)
 

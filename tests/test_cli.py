@@ -18,6 +18,9 @@ from paritykit import (
 from paritykit import cli
 from paritykit.cli import main
 
+# More digits than int() converts.
+BIG = "1" * (sys.get_int_max_str_digits() + 1)
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -144,8 +147,14 @@ def test_undefined_successor_reports_its_line(capsys, tmp_path):
         ("parity 1;\nnot a game\n", "parse error: line 2: malformed node line 'not a game'\n"),
         ("parity 9;\n1 0 0 5;\n\n0 0 0 1,9,7;\n5 1 1 0;\n",
          "parse error: line 4: node 0 points to undefined node 9\n"),
+        (f"0 0 0 0;\n{BIG} 0 0 0;\n",
+         "parse error: line 2: node id has too many digits\n"),
+        (f"0 0 0 0;\n1 {BIG} 0 0;\n",
+         "parse error: line 2: node 1 priority has too many digits\n"),
+        (f"0 0 0 1;\n1 0 0 0,{BIG};\n",
+         "parse error: line 2: node 1 has a successor with too many digits\n"),
     ],
-    ids=("malformed", "undefined-successor"),
+    ids=("malformed", "undefined-successor", "long-id", "long-priority", "long-successor"),
 )
 def test_parse_errors_print_their_line_once(capsys, tmp_path, text, expected):
     bad = tmp_path / "bad.gm"
@@ -251,6 +260,24 @@ def test_kernelize_reports_bound_and_writes_outputs(capsys, tmp_path):
     kern, _ = pgsolver.read_file(out_path)
     assert kern.n < 30
     assert trace_path.read_text().strip()
+
+
+def test_kernelize_prints_a_bound_too_long_for_str_in_short(capsys, tmp_path):
+    # k = 1,450 and 1,000 priorities: the general bound 1001^1450 + ... has
+    # about 4,350 digits, more than str() converts by default.
+    n = 2900
+    g = ParityGame(
+        [v % 2 for v in range(n)],
+        [v % 1000 for v in range(n)],
+        [[v - v % 2] for v in range(n)],
+    )
+    path = write_game(tmp_path, g)
+    code, out, err = run(capsys, "kernelize", path, "--mode", "general")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["nodes: 2900 -> 0", "bound: >10^4350 PASS"]
+    # A bound below the limit is still printed in full.
+    assert cli._bound_text(10**4298 + 7) == str(10**4298 + 7)
+    assert cli._bound_text(10**4299).startswith(">10^")
 
 
 def test_kernelize_writes_no_game_file_for_an_empty_kernel(capsys, tmp_path):
@@ -446,12 +473,15 @@ def test_unwritable_output_exits_3(capsys, tmp_path, monkeypatch, argv):
         solved.append(args)
         return {"ns": "1", "depth": "", "dominion_hits": "", "j": "", "hash": ""}
 
-    def kernelize(game):
-        solved.append(game)
-        return kernelize_auto(game)
+    def recorded(kernelize):
+        def record(game):
+            solved.append(game)
+            return kernelize(game)
+        return record
 
     monkeypatch.setattr(cli, "_bench_one", bench_one)
-    monkeypatch.setattr(cli, "kernelize_auto", kernelize)
+    for name in ("kernelize_general", "kernelize_bipartite"):
+        monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
     code, out_text, err = run(capsys, *(arg.format(game=game, out=out) for arg in argv))
     assert code == 3
     assert out_text == ""

@@ -7,7 +7,6 @@ import pytest
 from paritykit import (
     DominionRemoved,
     NotBipartite,
-    NotSmallerSide,
     ParityGame,
     SolveResult,
     TraceMismatch,
@@ -23,7 +22,7 @@ from paritykit import (
     trace_lines,
     win,
 )
-from paritykit.kernel import _Work, _compress_priorities, kernelize_general_any_side
+from paritykit.kernel import _Work, _compress_priorities
 from paritykit.game import p_value
 
 from conftest import random_game, scale, seeded_games
@@ -107,10 +106,16 @@ def test_general_pipeline_removes_even_cycles_as_dominion():
     assert res.w0 >= frozenset({0, 1, 2})
 
 
-def test_general_pipeline_requires_odd_side_no_larger():
-    g = ParityGame([1, 1, 0], [0, 0, 0], [[2], [2], [0, 1]])
-    with pytest.raises(NotSmallerSide):
-        kernelize_general(g)
+def test_general_pipeline_swaps_roles_when_odd_is_larger():
+    odd_larger = [
+        g for g in seeded_games(scale(200, 40), n_range=(1, 9), seed=11)
+        if 2 * sum(g.owner) > g.n
+    ]
+    assert len(odd_larger) > 10
+    for g in [ParityGame([1, 1, 0], [0, 0, 0], [[2], [2], [0, 1]])] + odd_larger:
+        kern, tr = kernelize_general(g)
+        assert (kern, tr) == general_with_swap(g)
+        assert trace_lines(tr)[0] == "SWAP"
 
 
 def test_bipartite_pipeline_rejects_internal_edges():
@@ -321,7 +326,7 @@ def test_kernel_outputs_are_pinned():
     # when this digest was taken.
     digest = hashlib.sha256()
     for g in _pinned_corpus():
-        for reduce in (kernelize_auto, kernelize_general_any_side):
+        for reduce in (kernelize_auto, kernelize_general):
             kern, tr = reduce(g)
             for part in (pgsolver.dumps(kern), trace_lines(tr), tr.kernel_ids, tr.swapped):
                 digest.update(repr(part).encode())

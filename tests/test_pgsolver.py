@@ -1,9 +1,15 @@
 """Game file format: canonical writing, tolerant reading."""
+import sys
+
 import pytest
 
 from paritykit import ParityGame, ParseError, pgsolver
 
 from conftest import seeded_games
+
+# int() refuses a digit string longer than this.
+LIMIT = sys.get_int_max_str_digits()
+BIG = "1" * (LIMIT + 1)
 
 
 def test_dumps_is_canonical():
@@ -86,6 +92,12 @@ def test_roundtrip_preserves_custom_ids(tmp_path):
         ("", "no node lines found", 1),
         (" \n\t\n", "no node lines found", 1),
         ("\n\nparity 3;\n\n", "no node lines found", 3),
+        pytest.param(f"0 2 0 1;\n\n{BIG} 0 0 0;\n", "node id has too many digits", 3,
+                     id="long-id"),
+        pytest.param(f"0 2 0 1;\n\n1 {BIG} 0 0;\n", "node 1 priority has too many digits", 3,
+                     id="long-priority"),
+        pytest.param(f"0 2 0 1;\n\n1 0 0 0,{BIG};\n",
+                     "node 1 has a successor with too many digits", 3, id="long-successor"),
     ],
 )
 def test_parse_error_messages_and_lines(text, message, line):
@@ -136,3 +148,9 @@ def test_read_file_skips_a_byte_order_mark(tmp_path):
     with pytest.raises(ParseError) as exc:
         pgsolver.loads("\ufeff" + text)
     assert exc.value.line == 1
+
+
+def test_a_number_of_exactly_the_digit_limit_still_parses():
+    fits = "0" * (LIMIT - 1) + "1"
+    game, ids = pgsolver.loads(f"0 2 0 {fits};\n{fits} {fits} 1 0;\n")
+    assert ids == (0, 1) and game.priority == (2, 1)
