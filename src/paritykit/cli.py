@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import subprocess
 import sys
 import tempfile
 import threading
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import pgsolver
@@ -25,7 +26,7 @@ from .errors import (
     NotBipartite,
     ParseError,
 )
-from .fpt import FptConfig, degree_threshold, solve, solve_context
+from .fpt import FptConfig, SolveContext, degree_threshold, solve
 from .game import is_bipartite, stats, validate
 from .generate import FAMILIES, generate
 from .kernel import kernelize_bipartite, kernelize_general, trace_lines
@@ -132,8 +133,7 @@ _ALGO_NAMES = {
 
 
 def cmd_solve(args) -> int:
-    game, ids = _load(args.input)
-    _check_valid(game)
+    # Flags are checked before the input is read, so a bad one costs no work.
     if args.j is not None and (args.algo != "fpt-degree" or args.j < 2):
         print("invalid parameters: --j must be at least 2 and needs --algo "
               f"fpt-degree, got --j {args.j} with --algo {args.algo}",
@@ -142,20 +142,17 @@ def cmd_solve(args) -> int:
     if args.emit_strategy and args.algo not in ("zielonka", "brute"):
         print("strategies are only available for zielonka and brute", file=sys.stderr)
         return EXIT_VALIDATION
+    game, ids = _load(args.input)
+    _check_valid(game)
     cfg = FptConfig(
         kernelize=not args.no_kernel,
         sub_j=args.j,
         brute_budget=args.budget,
     )
-
-    def counted_solve():
-        # A new thread starts with no context, so the solve's is opened here.
-        with solve_context() as ctx:
-            return solve(game, _ALGO_NAMES[args.algo], cfg), ctx
-
+    ctx = SolveContext()
     start = time.perf_counter_ns()
     try:
-        res, ctx = _run_big_stack(counted_solve)
+        res = _run_big_stack(lambda: solve(game, _ALGO_NAMES[args.algo], cfg, ctx))
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -382,14 +379,16 @@ def cmd_bench(args) -> int:
         "instance", "family", "n", "m", "k", "p", "j",
         "algo", "ns", "depth", "dominion_hits", "hash",
     ]
-    # Opened before the first solve, so an unwritable path costs no work.
-    with _file_errors(args.csv, "write"):
-        out = open(args.csv, "w", newline="") if args.csv else nullcontext(sys.stdout)
-    with out as fh:
+    with _claimed(args.csv) as write_csv:
         rows, agreement_ok = _bench_rows(args)
-        writer = csv.DictWriter(fh, fieldnames=header)
+        text = io.StringIO()
+        writer = csv.DictWriter(text, fieldnames=header)
         writer.writeheader()
         writer.writerows(rows)
+        if args.csv:
+            write_csv(text.getvalue())
+        else:
+            sys.stdout.write(text.getvalue())
     return EXIT_OK if agreement_ok else EXIT_AGREEMENT
 
 

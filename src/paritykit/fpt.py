@@ -7,14 +7,13 @@ else falls back to old_win1/old_win2, Zielonka's peel with new_win
 underneath. A result carries both players' strategies when every part
 it is built from does; a result lifted through a kernel carries none.
 
-Each top-level solve runs in one SolveContext, which holds its counters
-and new_win1's memo of the sub-games it has already solved.
+Each call solves in the SolveContext it is given, which holds the
+counters and new_win1's memo of the sub-games already solved; a call
+given none makes a fresh one, and every recursive call passes its own on.
 """
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .errors import ParityKitError
@@ -27,13 +26,18 @@ from .util import ceil_sqrt
 from .zielonka import _peel, _remove_dominion
 from . import zielonka
 
+# new_win2 brute-forces a game with at most this many nodes on each side
+# of its degree threshold.
+_BASE_CASE_DEGREE = 3
+
 
 class SolveContext:
-    """Counters and new_win1's memo for one top-level solve.
+    """Counters and new_win1's memo for the solves it is passed to.
 
     `depth`/`max_depth` count dominion-step levels, `dominion_hits` the
     dominions removed, and `memo_hits` the new_win1 calls answered from
-    `memo`, which maps (game, cfg) to the result already computed.
+    `memo`, which maps (game, cfg) to the result already computed. Pass
+    one context to several calls to count them as one solve.
     """
 
     __slots__ = ("depth", "max_depth", "dominion_hits", "memo_hits", "memo")
@@ -46,41 +50,9 @@ class SolveContext:
         self.memo = {}
 
 
-_current: ContextVar[SolveContext | None] = ContextVar("paritykit_solve_context", default=None)
-
-
-@contextmanager
-def solve_context():
-    """Run the solves inside the block in a fresh SolveContext and yield it.
-
-    Everything solved inside the block counts as one solve and shares its
-    counters and memo; read the counters after the block. Without this,
-    each outermost new_win1/new_win2 call opens a context of its own and
-    drops it when it returns.
-    """
-    ctx = SolveContext()
-    token = _current.set(ctx)
-    try:
-        yield ctx
-    finally:
-        _current.reset(token)
-
-
-@contextmanager
-def _current_or_new():
-    """The current SolveContext, or a new one for the length of the block."""
-    ctx = _current.get()
-    if ctx is not None:
-        yield ctx
-    else:
-        with solve_context() as ctx:
-            yield ctx
-
-
 @dataclass(frozen=True)
 class FptConfig:
     base_case_k: int = 4
-    base_case_degree: int = 3
     brute_budget: int = 10**6
     kernelize: bool = True
     sub_j: int | None = None
@@ -91,8 +63,6 @@ class FptConfig:
         # must fall through to the brute-force base case.
         if self.base_case_k < 2:
             raise ValueError("base_case_k must be >= 2")
-        if self.base_case_degree < 1:
-            raise ValueError("base_case_degree must be >= 1")
 
 
 def _ell_from_k(k: int) -> int:
@@ -112,45 +82,50 @@ def _degree_budget(n: int, s_j: int, j: int) -> DegreeBudget:
     return DegreeBudget(ell=ell, s=s, j=j)
 
 
-def new_win1(game: ParityGame, cfg: FptConfig | None = None) -> SolveResult:
+def new_win1(game: ParityGame, cfg: FptConfig | None = None,
+             ctx: SolveContext | None = None) -> SolveResult:
     """Exact partition via odd-node-count parameterization.
 
-    A game already solved with the same cfg in the current solve is
-    answered from the context's memo, adding no level and no dominion hit.
+    A game already solved with the same cfg in `ctx` is answered from
+    its memo, adding no level and no dominion hit.
     """
     cfg = cfg or FptConfig()
     if game.n == 0:
         return empty_result()
-    with _current_or_new() as ctx:
-        key = (game, cfg)
-        res = ctx.memo.get(key)
-        if res is not None:
-            ctx.memo_hits += 1
-            return res
-        res = ctx.memo[key] = _solve_by_odd_nodes(ctx, game, cfg)
+    if ctx is None:
+        ctx = SolveContext()
+    key = (game, cfg)
+    res = ctx.memo.get(key)
+    if res is not None:
+        ctx.memo_hits += 1
         return res
+    res = ctx.memo[key] = _solve_by_odd_nodes(ctx, game, cfg)
+    return res
 
 
 def _solve_by_odd_nodes(ctx: SolveContext, game: ParityGame, cfg: FptConfig) -> SolveResult:
     """new_win1's work on a non-empty game it has not solved yet."""
     k = sum(game.owner)
     if k > game.n - k:
-        return new_win1(swap_roles(game), cfg).flipped()
+        return new_win1(swap_roles(game), cfg, ctx).flipped()
     ell = _ell_from_k(k)
     kernel, trace = kernelize_auto(game) if cfg.kernelize else (game, None)
     res = _dominion_step(
         ctx, kernel, cfg, k <= cfg.base_case_k,
-        lambda: find_dominion_by_odd_nodes(kernel, ell, lambda sub: new_win1(sub, cfg)),
-        lambda sub: new_win1(sub, cfg),
-        lambda: old_win1(kernel, cfg),
+        lambda: find_dominion_by_odd_nodes(kernel, ell, lambda sub: new_win1(sub, cfg, ctx)),
+        lambda sub: new_win1(sub, cfg, ctx),
+        lambda: old_win1(kernel, cfg, ctx),
     )
     return res if trace is None else lift_solution(trace, res)
 
 
-def old_win1(game: ParityGame, cfg: FptConfig | None = None) -> SolveResult:
+def old_win1(game: ParityGame, cfg: FptConfig | None = None,
+             ctx: SolveContext | None = None) -> SolveResult:
     """Zielonka's peel with new_win1 underneath."""
     cfg = cfg or FptConfig()
-    return _peel(game, lambda sub: new_win1(sub, cfg))
+    if ctx is None:
+        ctx = SolveContext()
+    return _peel(game, lambda sub: new_win1(sub, cfg, ctx))
 
 
 def _dominion_step(ctx: SolveContext, game: ParityGame, cfg, small, search, recurse,
@@ -204,41 +179,48 @@ def degree_threshold(game: ParityGame, cfg: FptConfig) -> int:
     return choose_j(game)[0] if game.n >= 2 else 2
 
 
-def new_win2(game: ParityGame, j: int, cfg: FptConfig | None = None) -> SolveResult:
+def new_win2(game: ParityGame, j: int, cfg: FptConfig | None = None,
+             ctx: SolveContext | None = None) -> SolveResult:
     """Exact partition via out-degree parameterization at threshold j."""
     cfg = cfg or FptConfig()
     if j < 2:
         raise ValueError("need j >= 2")
     if game.n == 0:
         return empty_result()
+    if ctx is None:
+        ctx = SolveContext()
     s_j = stats(game).s_of(j)
     n = game.n
-    with _current_or_new() as ctx:
-        return _dominion_step(
-            ctx, game, cfg, s_j <= cfg.base_case_degree and n - s_j <= cfg.base_case_degree,
-            lambda: find_dominion_by_degree(game, _degree_budget(n, s_j, j)),
-            lambda sub: new_win2(sub, j, cfg),
-            lambda: old_win2(game, j, cfg),
-        )
+    return _dominion_step(
+        ctx, game, cfg, s_j <= _BASE_CASE_DEGREE and n - s_j <= _BASE_CASE_DEGREE,
+        lambda: find_dominion_by_degree(game, _degree_budget(n, s_j, j)),
+        lambda sub: new_win2(sub, j, cfg, ctx),
+        lambda: old_win2(game, j, cfg, ctx),
+    )
 
 
-def old_win2(game: ParityGame, j: int, cfg: FptConfig | None = None) -> SolveResult:
+def old_win2(game: ParityGame, j: int, cfg: FptConfig | None = None,
+             ctx: SolveContext | None = None) -> SolveResult:
     """Zielonka's peel with new_win2 underneath."""
     cfg = cfg or FptConfig()
-    return _peel(game, lambda sub: new_win2(sub, j, cfg))
+    if ctx is None:
+        ctx = SolveContext()
+    return _peel(game, lambda sub: new_win2(sub, j, cfg, ctx))
 
 
-def solve(game: ParityGame, algorithm: str, cfg: FptConfig | None = None) -> SolveResult:
-    """Dispatch to one backend and check determinacy of the result."""
+def solve(game: ParityGame, algorithm: str, cfg: FptConfig | None = None,
+          ctx: SolveContext | None = None) -> SolveResult:
+    """Dispatch to one backend and check determinacy of the result; the
+    fpt backends count in `ctx`."""
     cfg = cfg or FptConfig()
     if algorithm == "zielonka":
         res = zielonka.win(game)
     elif algorithm == "brute":
         res = solve_brute(game, cfg.brute_budget)
     elif algorithm == "fpt_k":
-        res = new_win1(game, cfg)
+        res = new_win1(game, cfg, ctx)
     elif algorithm == "fpt_degree":
-        res = new_win2(game, degree_threshold(game, cfg), cfg)
+        res = new_win2(game, degree_threshold(game, cfg), cfg, ctx)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     w0, w1 = set(res.w0), set(res.w1)

@@ -6,13 +6,13 @@ import pytest
 
 from paritykit import (
     ParityGame,
+    SolveContext,
     choose_j,
     generate,
     is_bipartite,
     kernelize_auto,
     pgsolver,
     solve,
-    solve_context,
     trace_lines,
 )
 from paritykit import cli
@@ -85,15 +85,15 @@ def test_solve_metrics_output(capsys, simple_game):
 
 def test_report_metrics_match_an_in_process_solve(capsys, tmp_path):
     # The CLI solves in a thread of its own; its counters must be the
-    # ones that solve reports in this thread under solve_context().
+    # ones that solve reports in this thread into a SolveContext().
     path = write_game(tmp_path, generate("general", 24, 8, 2))
     game = pgsolver.read_file(path)[0]
     for algo, name in (("fpt-k", "fpt_k"), ("fpt-degree", "fpt_degree")):
         code, out, err = run(capsys, "solve", path, "--algo", algo, "--report-metrics")
         assert code == 0, err
         fields = dict(line.split(": ", 1) for line in out.splitlines())
-        with solve_context() as ctx:
-            solve(game, name)
+        ctx = SolveContext()
+        solve(game, name, ctx=ctx)
         assert (int(fields["depth"]), int(fields["dominion_hits"])) == (
             ctx.max_depth, ctx.dominion_hits
         )
@@ -352,6 +352,25 @@ def test_bench_csv_and_agreement(capsys, tmp_path):
     assert all(len(hashes) == 1 for hashes in by_instance.values())
 
 
+@pytest.mark.parametrize(
+    "before", [b"instance,family\r\ngeneral-n6-kNone-s0,general\r\n", None],
+    ids=("existing", "new"),
+)
+def test_an_interrupted_bench_leaves_its_csv_as_it_was(capsys, monkeypatch, tmp_path, before):
+    csv_path = tmp_path / "bench.csv"
+    if before is not None:
+        csv_path.write_bytes(before)
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_bench_rows", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["bench", "--families", "general", "--csv", str(csv_path)])
+    assert capsys.readouterr().out == ""
+    assert (csv_path.read_bytes() if csv_path.exists() else None) == before
+
+
 def test_kernelize_general_mode_swaps_roles_when_odd_is_larger(capsys, tmp_path):
     g = generate("general", 10, 4, 8)
     assert 2 * sum(g.owner) > g.n and not is_bipartite(g)
@@ -401,6 +420,33 @@ def test_solve_rejects_degree_threshold_for_other_algorithms(capsys, simple_game
         assert code == 3
         assert out == ""
         assert len(err.splitlines()) == 1 and "--j" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--algo", "fpt-degree", "--j", "1"),
+        ("--algo", "fpt-k", "--j", "3"),
+        ("--algo", "fpt-k", "--emit-strategy"),
+        ("--algo", "fpt-degree", "--emit-strategy"),
+    ],
+    ids=("j-below-two", "j-without-fpt-degree", "strategy-fpt-k", "strategy-fpt-degree"),
+)
+def test_solve_refuses_a_bad_flag_before_reading_the_input(capsys, monkeypatch,
+                                                          simple_game, flags):
+    loaded = []
+    load = cli._load
+
+    def recording(path):
+        loaded.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cli, "_load", recording)
+    for path in (simple_game, simple_game + ".missing"):
+        code, out, err = run(capsys, "solve", path, *flags)
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1
+    assert loaded == []
 
 
 def test_usage_errors_exit_3_and_help_exits_0(capsys, simple_game):

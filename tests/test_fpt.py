@@ -13,6 +13,7 @@ from paritykit import (
     FptConfig,
     ParityGame,
     ParityKitError,
+    SolveContext,
     SolveResult,
     choose_j,
     generate,
@@ -22,7 +23,6 @@ from paritykit import (
     old_win2,
     solve,
     solve_brute,
-    solve_context,
     verify_partition,
     win,
 )
@@ -35,8 +35,6 @@ from conftest import scale, seeded_games
 def test_config_validation():
     with pytest.raises(ValueError):
         FptConfig(base_case_k=1)
-    with pytest.raises(ValueError):
-        FptConfig(base_case_degree=0)
 
 
 def test_odd_count_budget_formula():
@@ -118,10 +116,10 @@ def test_new_win2_rejects_unit_threshold():
 
 def test_metrics_track_depth_and_hits():
     g = generate("general", 8, 4, 3)
-    with solve_context() as ctx:
-        assert (ctx.depth, ctx.max_depth, ctx.dominion_hits) == (0, 0, 0)
-        new_win1(g, FptConfig(base_case_k=2))
-        assert ctx.depth == 0  # balanced enter/exit
+    ctx = SolveContext()
+    assert (ctx.depth, ctx.max_depth, ctx.dominion_hits) == (0, 0, 0)
+    new_win1(g, FptConfig(base_case_k=2), ctx=ctx)
+    assert ctx.depth == 0  # balanced enter/exit
     assert ctx.max_depth >= 1
 
 
@@ -165,7 +163,7 @@ def test_empty_and_single_node_games():
 def test_solve_rejects_a_result_that_is_not_a_partition(monkeypatch, w0, w1, message):
     g = ParityGame([0, 1], [2, 1], [[1], [0]])
     bad = SolveResult(frozenset(w0), frozenset(w1))
-    monkeypatch.setattr(fpt, "new_win1", lambda game, cfg: bad)
+    monkeypatch.setattr(fpt, "new_win1", lambda game, cfg, ctx: bad)
     with pytest.raises(ParityKitError, match=message):
         solve(g, "fpt_k")
 
@@ -201,9 +199,9 @@ def test_two_call_recursion_refuses_a_sub_game_that_does_not_shrink(monkeypatch)
 def test_dominion_removal_refuses_a_sub_game_that_does_not_shrink(monkeypatch):
     g = generate("general", 8, 4, 0)  # has a degree dominion at j = 2
     monkeypatch.setattr(fpt, "attractor", _attract_nothing)
-    with solve_context() as ctx:
-        with pytest.raises(ParityKitError, match="did not shrink"):
-            new_win2(g, 2)
+    ctx = SolveContext()
+    with pytest.raises(ParityKitError, match="did not shrink"):
+        new_win2(g, 2, ctx=ctx)
     assert ctx.dominion_hits == 1
     assert ctx.depth == 0  # the raising level was left too
 
@@ -239,8 +237,8 @@ REPEATS = ("general", 24, 8, 2)
 
 def test_memo_answers_repeated_sub_games_correctly():
     g = generate(*REPEATS)
-    with solve_context() as ctx:
-        res = new_win1(g)
+    ctx = SolveContext()
+    res = new_win1(g, ctx=ctx)
     assert ctx.memo_hits > 0
     assert (res.w0, res.w1) == (win(g).w0, win(g).w1)
     for (sub, cfg), stored in ctx.memo.items():
@@ -250,10 +248,10 @@ def test_memo_answers_repeated_sub_games_correctly():
 
 def test_a_memo_hit_adds_no_level_and_no_dominion_hit():
     g = generate(*REPEATS)
-    with solve_context() as ctx:
-        new_win1(g)
-        depth, max_depth, hits, memo_hits, size = _counters(ctx)
-        new_win1(g)
+    ctx = SolveContext()
+    new_win1(g, ctx=ctx)
+    depth, max_depth, hits, memo_hits, size = _counters(ctx)
+    new_win1(g, ctx=ctx)
     assert _counters(ctx) == (depth, max_depth, hits, memo_hits + 1, size)
 
 
@@ -262,40 +260,65 @@ def test_counters_repeat_across_solves_of_one_game(cfg):
     g = generate(*REPEATS)
     runs = []
     for _ in range(2):
-        with solve_context() as ctx:
-            new_win1(g, cfg)
-            new_win2(g, 3, cfg)
+        ctx = SolveContext()
+        new_win1(g, cfg, ctx=ctx)
+        new_win2(g, 3, cfg, ctx=ctx)
         runs.append(_counters(ctx))
     assert runs[0] == runs[1]
     assert runs[0][1] >= 1 and runs[0][3] > 0
 
 
-def test_a_nested_context_shares_nothing_with_the_outer_one():
+def test_a_second_context_shares_nothing_with_the_first():
     g = generate(*REPEATS)
-    with solve_context() as alone:
-        new_win1(g)
-    with solve_context() as outer:
-        new_win1(generate("general", 12, 6, 0))
-        before = _counters(outer)
-        with solve_context() as inner:
-            new_win1(g)
-        assert _counters(outer) == before
-    assert _counters(inner) == _counters(alone)
+    alone = SolveContext()
+    new_win1(g, ctx=alone)
+    first = SolveContext()
+    new_win1(generate("general", 12, 6, 0), ctx=first)
+    before = _counters(first)
+    second = SolveContext()
+    new_win1(g, ctx=second)
+    assert _counters(first) == before
+    assert _counters(second) == _counters(alone)
 
 
-def test_no_context_is_left_current_after_a_solve():
+def test_one_context_counts_both_solvers_as_one_solve():
     g = generate(*REPEATS)
-    new_win1(g)
-    new_win2(g, 2)
+    cfg = FptConfig(base_case_k=2)
+    one, two = SolveContext(), SolveContext()
+    new_win1(g, cfg, ctx=one)
+    new_win2(g, 3, cfg, ctx=two)
+    both = SolveContext()
+    new_win1(g, cfg, ctx=both)
+    new_win2(g, 3, cfg, ctx=both)
+    assert both.dominion_hits == one.dominion_hits + two.dominion_hits > 0
+    assert both.max_depth == max(one.max_depth, two.max_depth)
+    assert (both.memo_hits, both.memo) == (one.memo_hits, one.memo)
+    assert both.depth == 0
+
+
+# old_win1's peel meets repeated sub-games on this game; on REPEATS its
+# sub-games are small enough for brute force and nothing repeats.
+PEEL_REPEATS = ("general", 24, 8, 3)
+
+
+def test_old_win1_answers_repeated_sub_games_from_one_memo(monkeypatch):
+    g = generate(*PEEL_REPEATS)
+    ctx = SolveContext()
+    res = old_win1(g, ctx=ctx)
+    assert ctx.memo_hits > 0
+    assert (res.w0, res.w1) == (win(g).w0, win(g).w1)
+    # Given no context, old_win1 makes one and every sub-solve shares it.
+    contexts = []
+    real_new_win1 = fpt.new_win1
+
+    def recorded_new_win1(game, cfg=None, ctx=None):
+        contexts.append(ctx)
+        return real_new_win1(game, cfg, ctx)
+
+    monkeypatch.setattr(fpt, "new_win1", recorded_new_win1)
     old_win1(g)
-    solve(g, "fpt_k")
-    solve(g, "fpt_degree")
-    with solve_context():
-        new_win1(g)
-    assert fpt._current.get() is None
-    with pytest.raises(BudgetExceeded):
-        new_win1(g, FptConfig(base_case_k=20, brute_budget=1))
-    assert fpt._current.get() is None
+    assert len(contexts) > 1 and all(c is contexts[0] for c in contexts)
+    assert _counters(contexts[0]) == _counters(ctx)
 
 
 def test_concurrent_solves_share_no_counters_or_memo():
@@ -303,9 +326,9 @@ def test_concurrent_solves_share_no_counters_or_memo():
     cfg = FptConfig(base_case_k=2)
 
     def counted(g):
-        with solve_context() as ctx:
-            res = new_win1(g, cfg)
-            new_win2(g, 3, cfg)
+        ctx = SolveContext()
+        res = new_win1(g, cfg, ctx)
+        new_win2(g, 3, cfg, ctx)
         return _counters(ctx), set(ctx.memo), (res.w0, res.w1)
 
     expected = [counted(g) for g in games]
@@ -328,7 +351,6 @@ def test_concurrent_solves_share_no_counters_or_memo():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert seen == [[e] * 3 for e in expected]
-    assert fpt._current.get() is None
 
 
 @pytest.mark.parametrize(
@@ -388,8 +410,8 @@ def test_degree_search_keys_every_strategy_inside_its_region(monkeypatch):
             dominions.append(dom)
         return dom
 
-    def recorded_new_win2(game, j, cfg=None):
-        res = real_new_win2(game, j, cfg)
+    def recorded_new_win2(game, j, cfg=None, ctx=None):
+        res = real_new_win2(game, j, cfg, ctx)
         results.append((game, res))
         return res
 
@@ -416,8 +438,8 @@ def test_fpt_degree_outputs_are_pinned():
         for n in (6, 12, 20, 30, 40):
             for seed in range(3):
                 g = generate(family, n, 6, seed, **kw)
-                with solve_context() as ctx:
-                    res = solve(g, "fpt_degree")
+                ctx = SolveContext()
+                res = solve(g, "fpt_degree", ctx=ctx)
                 choices = [None if s is None else list(s.choice.items())
                            for s in (res.strategy0, res.strategy1)]
                 digest.update(repr((sorted(res.w0), sorted(res.w1), choices,

@@ -1,7 +1,10 @@
 """Every name a library module imports is used in that module, every
 private module-level function is used by some module, no module holds
-an `assert`, and solving leaves every module's globals as they were."""
+an `assert`, solving leaves every module's globals as they were, and no
+module holds a context variable."""
 import ast
+import contextvars
+import importlib
 import sys
 import types
 from pathlib import Path
@@ -145,4 +148,18 @@ def test_solving_leaves_no_module_level_state():
         paritykit.solve(g, "fpt_k")
         paritykit.solve(g, "fpt_degree")
     assert _module_state() == before
-    assert fpt._current.get() is None
+
+
+def test_no_module_holds_a_context_variable():
+    # Solvers are passed their SolveContext; none is found through a global.
+    modules = [paritykit] + [
+        importlib.import_module(f"paritykit.{p.stem}") for p in MODULES if p.stem != "__main__"
+    ]
+    held = [
+        (mod.__name__, attr)
+        for mod in modules
+        for attr, value in vars(mod).items()
+        if isinstance(value, contextvars.ContextVar)
+    ]
+    assert held == []
+    assert not hasattr(fpt, "solve_context")
