@@ -12,6 +12,7 @@ from itertools import combinations
 from .game import ParityGame, subgame
 from .oracle import Strategy, _witness_on, verify_strategy
 from .reach import attractor
+from .util import _parity_cycles
 from .zielonka import win as _zielonka_win
 
 
@@ -68,6 +69,26 @@ def _nodes_in(mask: int) -> frozenset:
     return frozenset(nodes)
 
 
+def _doomed(game: ParityGame, player: int) -> int:
+    """Bitmask of the nodes that no closed set won by `player` contains.
+
+    A node is forced for `player` if the opponent owns it or it has one
+    successor. A closed set holds every successor of its opponent nodes
+    and the chosen successor of the player's, so with a forced node it
+    holds every cycle of forced nodes through it, and the opponent wins
+    one whose top priority is theirs. From any node of the opponent's
+    attractor of those cycles, the set likewise holds a path into one.
+    """
+    succ = game.succ
+    forced = [v for v in game.nodes() if game.owner[v] != player or len(succ[v]) == 1]
+    cycles = set()
+    for scc, _ in _parity_cycles(forced, game.priority, succ.__getitem__, 1 - player):
+        cycles.update(scc)
+    if not cycles:
+        return 0
+    return sum(1 << v for v in attractor(game, cycles, 1 - player).set)
+
+
 def find_dominion_by_degree(game: ParityGame, budget: DegreeBudget):
     """A dominion within the out-degree budget, if one exists.
 
@@ -75,9 +96,13 @@ def find_dominion_by_degree(game: ParityGame, budget: DegreeBudget):
     frontier and are consumed smallest-id first; the player's nodes
     branch over one kept successor, opponent nodes pull in all of theirs.
     A branch ends once the set holds more than `ell` nodes of out-degree
-    above `j` or more than `s` of out-degree at most `j`. Each distinct
-    closed (set, strategy) candidate is verified, and the first verified
-    one in this order is returned.
+    above `j` or more than `s` of out-degree at most `j`. It also ends
+    once it takes in a node the player's `_doomed` set refutes: a node
+    from which the opponent forces play onto one of their cycles among
+    the player's forced nodes. Such a branch only leads to candidates
+    that fail, so each distinct closed (set, strategy) candidate it
+    leaves is verified, and the first verified one in this order, the
+    same as without refutation, is returned.
 
     The set and the frontier are int bitmasks over node ids. Forced moves
     (every opponent node, and each player node with one successor) are
@@ -103,6 +128,8 @@ def find_dominion_by_degree(game: ParityGame, budget: DegreeBudget):
                 choice += ((u, succ[u][0]),)
             fresh = smask[u] & ~members
             if fresh:
+                if fresh & doomed:
+                    return None
                 big = (fresh & high_mask).bit_count()
                 high, low = high + big, low + fresh.bit_count() - big
                 if high > ell or low > s:
@@ -124,7 +151,7 @@ def find_dominion_by_degree(game: ParityGame, budget: DegreeBudget):
                 found = grow(player, members, frontier, high, low, choice + ((u, w),))
             else:
                 big = deg[w] > j
-                if high + big > ell or low + (not big) > s:
+                if wbit & doomed or high + big > ell or low + (not big) > s:
                     continue
                 found = grow(player, members | wbit, frontier | wbit, high + big,
                              low + (not big), choice + ((u, w),))
@@ -134,10 +161,11 @@ def find_dominion_by_degree(game: ParityGame, budget: DegreeBudget):
 
     try:
         for player in (0, 1):
+            doomed = _doomed(game, player)
             for start in game.nodes():
-                high = int(deg[start] > j)
-                if high <= ell and 1 - high <= s:
-                    found = grow(player, 1 << start, 1 << start, high, 1 - high, ())
+                bit, high = 1 << start, int(deg[start] > j)
+                if high <= ell and 1 - high <= s and not bit & doomed:
+                    found = grow(player, bit, bit, high, 1 - high, ())
                     if found:
                         return found
         return None

@@ -1,9 +1,14 @@
 """Command-line interface: output formats and exit codes."""
 import csv
+import importlib
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import paritykit
 from paritykit import (
     ParityGame,
     SolveContext,
@@ -553,3 +558,19 @@ def test_unreadable_input_exits_2(capsys, tmp_path, argv):
     assert code == 2 and out == ""
     assert err.startswith(f"cannot read {argv[-1].format(**paths)}: ")
     assert err.count("\n") == 1
+
+
+def test_importing_main_runs_no_command(capsys, monkeypatch):
+    # Only `python -m paritykit` runs the CLI; an import leaves argv alone.
+    monkeypatch.setattr(sys, "argv", ["importer", "solve"])
+    monkeypatch.delitem(sys.modules, "paritykit.__main__", raising=False)
+    importlib.import_module("paritykit.__main__")
+    assert capsys.readouterr() == ("", "")
+
+
+def test_python_dash_m_runs_the_cli():
+    path = [str(Path(paritykit.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-m", "paritykit", "gen", "general", "4", "--seed", "0"],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0 and done.stdout.startswith("stats:")

@@ -172,6 +172,54 @@ def test_degree_search_outputs_are_pinned():
     assert digest.hexdigest()[:16] == "814aaef86f79ac38"
 
 
+def test_refutation_changes_only_the_work_done(monkeypatch):
+    # Without the doomed sets the search verifies more candidates, but it
+    # returns the same first dominion, owner and witness on every search.
+    verified = 0
+
+    def counted(game, nodes, strat):
+        nonlocal verified
+        verified += 1
+        return verify_strategy(game, nodes, strat)
+
+    def searches():
+        nonlocal verified
+        verified, found = 0, []
+        for g in _degree_corpus():
+            for budget in _BUDGET_GRID:
+                dom = find_dominion_by_degree(g, budget)
+                if dom is not None:
+                    dom = (dom.set, dom.owner, list(dom.witness.choice.items()))
+                found.append(dom)
+        return found, verified
+
+    monkeypatch.setattr(dominion, "verify_strategy", counted)
+    pruned, pruned_verified = searches()
+    monkeypatch.setattr(dominion, "_doomed", lambda game, player: 0)
+    plain, plain_verified = searches()
+    assert pruned == plain
+    assert pruned_verified < plain_verified
+    assert (pruned_verified, plain_verified) == (8026, 10520)
+
+
+def test_doomed_nodes_are_won_by_the_opponent():
+    # No closed set won by a player holds a doomed node, because the
+    # opponent wins from each of them.
+    games = itertools.chain(
+        *(exhaustive_games(n, priorities=range(4)) for n in (1, 2, 3)),
+        (generate("general", n, bound, seed)
+         for n in range(2, 31) for bound in (2, 5, 9) for seed in range(4)),
+    )
+    doomed_nodes = 0
+    for g in games:
+        res = win(g)
+        for player in (0, 1):
+            doomed = dominion._nodes_in(dominion._doomed(g, player))
+            assert doomed <= res.winners(1 - player)
+            doomed_nodes += len(doomed)
+    assert doomed_nodes > 0
+
+
 def test_degree_search_grows_a_long_cycle_under_the_default_limit():
     n = 400
     g = ParityGame([0] * n, [2] + [1] * (n - 1), [[(v + 1) % n] for v in range(n)])

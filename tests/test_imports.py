@@ -152,9 +152,7 @@ def test_solving_leaves_no_module_level_state():
 
 def test_no_module_holds_a_context_variable():
     # Solvers are passed their SolveContext; none is found through a global.
-    modules = [paritykit] + [
-        importlib.import_module(f"paritykit.{p.stem}") for p in MODULES if p.stem != "__main__"
-    ]
+    modules = [paritykit] + [importlib.import_module(f"paritykit.{p.stem}") for p in MODULES]
     held = [
         (mod.__name__, attr)
         for mod in modules
